@@ -72,7 +72,7 @@ def _cmd_gordian(args) -> int:
     except NotHomotopyForm as exc:
         if args.json:
             print(json.dumps({"bound": None, "per_n": {}, "pairs": [],
-                              "status": "not_homotopy_form"}))
+                              "status": "not_homotopy_form", "reason": str(exc)}))
         else:
             print("not_homotopy_form")
             print("reason: %s" % exc, file=sys.stderr)
@@ -155,6 +155,9 @@ def run_selftest(samples: int = 100, max_chords: int = 6, seed: int = 0) -> dict
 
 
 def _cmd_selftest(args) -> int:
+    if args.max_chords < 2:
+        print("error: --max-chords must be at least 2", file=sys.stderr)
+        return 2
     report = run_selftest(args.samples, args.max_chords, args.seed)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
@@ -207,10 +210,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GaussCodeError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GaussCodeError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -17,7 +17,9 @@ import random
 import re
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
+from types import MappingProxyType
 
 __all__ = [
     "SINGULAR",
@@ -49,6 +51,10 @@ class GaussCodeError(ValueError):
 Event = namedtuple("Event", ["chord", "kind", "sign"])
 
 ChordView = namedtuple("ChordView", ["id", "over_pos", "under_pos", "sign"])
+
+# Derived chord data as plain lists indexed by chord id, slot 0 unused;
+# degree[c] is None when a singular chord crosses c.
+_ChordTable = namedtuple("_ChordTable", ["over", "under", "sign", "degree"])
 
 _TOKEN = re.compile(r"([OU])([0-9]+)([+\-*]?)\Z")
 
@@ -92,19 +98,39 @@ class GaussDiagram:
     def k(self) -> int:
         return len(self.events) // 2
 
+    @cached_property
+    def _table(self) -> _ChordTable:
+        """Derived chord data, built on first use; see _ChordTable."""
+        k = self.k
+        over, under, sign = [None] * (k + 1), [None] * (k + 1), [None] * (k + 1)
+        prefix = [0]  # prefix[p]: Over signs minus Under signs at positions 1..p
+        for pos, (cid, kind, s) in enumerate(self.events, start=1):
+            (over if kind == "O" else under)[cid] = pos
+            sign[cid] = s
+            prefix.append(prefix[-1] + (s if kind == "O" else -s))
+        # c's own endpoints add sgn(c) - sgn(c) = 0, so one formula fits both directions
+        degree = [None] + [prefix[o - 1] - prefix[u] for o, u in zip(over[1:], under[1:])]
+        for e, s in enumerate(sign):
+            if s == SINGULAR:
+                lo, hi = sorted((over[e], under[e]))
+                for cid in range(1, k + 1):
+                    if (lo < over[cid] < hi) != (lo < under[cid] < hi):
+                        degree[cid] = None
+        return _ChordTable(over, under, sign, degree)
+
+    @cached_property
+    def _views(self) -> dict:
+        over, under, sign, _ = self._table
+        return {cid: ChordView(cid, over[cid], under[cid], sign[cid])
+                for cid in range(1, self.k + 1)}
+
     def chords(self) -> dict:
-        """Map chord id -> ChordView with 1-based endpoint positions."""
-        over = {}
-        under = {}
-        sign = {}
-        for pos, ev in enumerate(self.events, start=1):
-            (over if ev.kind == "O" else under)[ev.chord] = pos
-            sign[ev.chord] = ev.sign
-        return {cid: ChordView(cid, over[cid], under[cid], sign[cid]) for cid in sign}
+        """Read-only map chord id -> ChordView with 1-based endpoint positions."""
+        return MappingProxyType(self._views)
 
     def chord(self, cid: int) -> ChordView:
         try:
-            return self.chords()[cid]
+            return self._views[cid]
         except KeyError:
             raise GaussCodeError("no chord with id %d" % cid) from None
 

@@ -17,8 +17,8 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram
-from .invariant import (Invariant, TermKey, _chord_arrays, _crossings, _degrees,
-                        compute_H, index_function, invariant_sub)
+from .invariant import (Invariant, TermKey, compute_H, crossing_partition, degree,
+                        index_function, invariant_sub)
 from .zpoly import ReductionPolicy, reduce_poly
 
 __all__ = [
@@ -56,16 +56,13 @@ def _partner(P, m, policy):
 def crossing_change_delta(d: GaussDiagram, cid: int,
                           policy: ReductionPolicy = ReductionPolicy.QUOTIENT) -> Invariant:
     """Predicted H(d) - H(crossing_change(d, cid)), no recomputation."""
-    view = d.chord(cid)
-    if view.sign == SINGULAR:
+    eps = d.chord(cid).sign
+    if eps == SINGULAR:
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)
-    eps = view.sign
-    ids, _, _, sign = _chord_arrays(d)
-    adj, _ = _crossings(d)
-    deg = _degrees(adj, sign)
-    i = ids.index(cid)
-    m = abs(deg[i])
-    ns = sorted({math.gcd(deg[i], deg[j]) for j, _ in adj[i]} - {0})
+    dc = degree(d, cid)
+    m = abs(dc)
+    right, left = crossing_partition(d, cid)
+    ns = sorted({math.gcd(dc, degree(d, e)) for e in right + left} - {0})
     exp = defaultdict(int)
     const = {}
     for n in ns:

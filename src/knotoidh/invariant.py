@@ -1,9 +1,12 @@
 """The three-variable invariant H(t, y, z) of a knotoid Gauss diagram.
 
 Every chord c gets a degree d(c): the signed count of chords crossing it,
-counted +1 from the right part r(c) and -1 from the left part l(c).  The
-crossing chords split further by n = gcd(|d(c)|, |d(e)|), and each class
-contributes an index polynomial
+counted +1 from the right part r(c) and -1 from the left part l(c).  With
+W(p) the sum over positions 1..p of +sgn(e) at each Over endpoint and
+-sgn(e) at each Under endpoint, d(c) = W(o(c) - 1) - W(u(c)): nested chords
+cancel, so prefix sums give every degree in O(k).  d(c) is undefined exactly
+when a singular chord crosses c.  The crossing chords split further by
+n = gcd(|d(c)|, |d(e)|), and each class contributes an index polynomial
 
     Ind_c^n(z) = sum_{e in r^n} sgn(e) z^{phi(d(e))}
                - sum_{e in l^n} sgn(e) z^{phi(-d(e))}
@@ -123,26 +126,16 @@ def nonzero_height_certificate(inv: Invariant) -> bool:
     return not inv.is_zero()
 
 
-def _chord_arrays(d: GaussDiagram):
-    views = sorted(d.chords().values())
-    ids = [v.id for v in views]
-    over = [v.over_pos for v in views]
-    under = [v.under_pos for v in views]
-    sign = [v.sign for v in views]
-    return ids, over, under, sign
-
-
-def _crossings(d: GaussDiagram):
-    """Adjacency lists: adj[i] holds (j, side) with side True for r."""
-    _, over, under, sign = _chord_arrays(d)
-    k = len(over)
-    adj = [[] for _ in range(k)]
-    for i in range(k):
+def _crossings(over, under):
+    """adj[c] lists (e, side) for each chord e crossing c, side True for r(c)."""
+    k = len(over) - 1
+    adj = [[] for _ in range(k + 1)]
+    for i in range(1, k + 1):
         oi = over[i]
         ui = under[i]
         lo, hi = (ui, oi) if oi > ui else (oi, ui)
         up = oi > ui
-        for j in range(i + 1, k):
+        for j in range(i + 1, k + 1):
             oin = lo < over[j] < hi
             if oin == (lo < under[j] < hi):
                 continue
@@ -151,42 +144,47 @@ def _crossings(d: GaussDiagram):
             uj = under[j]
             jlo, jhi = (uj, oj) if oj > uj else (oj, uj)
             adj[j].append((i, (jlo < oi < jhi) == (oj > uj)))
-    return adj, sign
+    return adj
 
 
-def _degrees(adj, sign):
-    deg = []
-    for entries in adj:
-        t = 0
-        for j, side in entries:
-            s = sign[j]
-            if s == SINGULAR:
-                raise GaussCodeError("degree undefined: crossing chord %d is singular" % (j + 1))
-            t += s if side else -s
-        deg.append(t)
-    return deg
+def _index_polys(row, deg, sign, dc, policy, include_n0):
+    """n -> Ind_c^n of a chord with degree dc and crossing row `row`, as in _crossings."""
+    gcd = math.gcd
+    red = reduce_exponent
+    m = abs(dc)
+    buckets = defaultdict(lambda: defaultdict(int))
+    for j, side in row:
+        n = gcd(dc, deg[j])
+        if n == 0 and not include_n0:
+            continue
+        if side:
+            buckets[n][red(deg[j], m, policy)] += sign[j]
+        else:
+            buckets[n][red(-deg[j], m, policy)] -= sign[j]
+    return {n: ZPoly(terms) for n, terms in buckets.items()}
 
 
 def degree(d: GaussDiagram, cid: int) -> int:
     """d(c): signed crossing count, r(c) positive, l(c) negative."""
-    ids, _, _, sign = _chord_arrays(d)
-    adj, _ = _crossings(d)
-    i = ids.index(d.chord(cid).id)
-    t = 0
-    for j, side in adj[i]:
-        if sign[j] == SINGULAR:
-            raise GaussCodeError("degree undefined: crossing chord %d is singular" % ids[j])
-        t += sign[j] if side else -sign[j]
-    return t
+    d.chord(cid)  # raises for an unknown id
+    deg = d._table.degree[cid]
+    if deg is None:
+        right, left = crossing_partition(d, cid)
+        e = min(j for j in right + left if d._table.sign[j] == SINGULAR)
+        raise GaussCodeError("degree undefined: crossing chord %d is singular" % e)
+    return deg
 
 
 def crossing_partition(d: GaussDiagram, cid: int):
     """Ids of chords crossing cid, split as (right, left), each sorted."""
-    ids, _, _, _ = _chord_arrays(d)
-    adj, _ = _crossings(d)
-    i = ids.index(d.chord(cid).id)
-    right = sorted(ids[j] for j, side in adj[i] if side)
-    left = sorted(ids[j] for j, side in adj[i] if not side)
+    _, o, u, _ = d.chord(cid)
+    over, under, _, _ = d._table
+    lo, hi = (u, o) if o > u else (o, u)
+    right, left = [], []
+    for j in range(1, len(over)):
+        oin = lo < over[j] < hi
+        if oin != (lo < under[j] < hi):
+            (right if oin == (o > u) else left).append(j)
     return tuple(right), tuple(left)
 
 
@@ -194,33 +192,18 @@ def n_partition(d: GaussDiagram, cid: int, n: int):
     """Restrict the crossing partition of cid to gcd(|d(c)|,|d(e)|) == n."""
     if n < 0:
         raise ValueError("n must be non-negative")
-    ids, _, _, sign = _chord_arrays(d)
-    adj, _ = _crossings(d)
-    deg = _degrees(adj, sign)
-    i = ids.index(d.chord(cid).id)
-    right, left = [], []
-    for j, side in adj[i]:
-        if math.gcd(deg[i], deg[j]) == n:
-            (right if side else left).append(ids[j])
-    return tuple(sorted(right)), tuple(sorted(left))
+    dc = degree(d, cid)
+    return tuple(tuple(e for e in part if math.gcd(dc, degree(d, e)) == n)
+                 for part in crossing_partition(d, cid))
 
 
 def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -> ZPoly:
     """Ind_c^n(z) with exponents reduced mod |d(c)| under the policy."""
-    ids, _, _, sign = _chord_arrays(d)
-    adj, _ = _crossings(d)
-    deg = _degrees(adj, sign)
-    i = ids.index(d.chord(cid).id)
-    m = abs(deg[i])
-    acc = defaultdict(int)
-    for j, side in adj[i]:
-        if math.gcd(deg[i], deg[j]) != n:
-            continue
-        if side:
-            acc[reduce_exponent(deg[j], m, policy)] += sign[j]
-        else:
-            acc[reduce_exponent(-deg[j], m, policy)] -= sign[j]
-    return ZPoly(acc)
+    dc = degree(d, cid)
+    right, left = crossing_partition(d, cid)
+    row = [(j, True) for j in right] + [(j, False) for j in left]
+    deg = {j: degree(d, j) for j, _ in row}
+    return _index_polys(row, deg, d._table.sign, dc, policy, n == 0).get(n, ZPoly())
 
 
 def compute_H(d: GaussDiagram,
@@ -229,30 +212,17 @@ def compute_H(d: GaussDiagram,
     """Evaluate H over all chords and all gcd classes of the diagram."""
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
-    adj, sign = _crossings(d)
-    deg = _degrees(adj, sign)
-    gcd = math.gcd
-    red = reduce_exponent
+    over, under, sign, deg = d._table
     exp_terms = {}
     const_terms = defaultdict(int)
-    for i, entries in enumerate(adj):
-        m = abs(deg[i])
-        di = deg[i]
-        buckets = defaultdict(lambda: defaultdict(int))
-        for j, side in entries:
-            n = gcd(di, deg[j])
-            if n == 0 and not include_n0:
-                continue
-            if side:
-                buckets[n][red(deg[j], m, policy)] += sign[j]
-            else:
-                buckets[n][red(-deg[j], m, policy)] -= sign[j]
-        sc = sign[i]
-        for n, terms in buckets.items():
-            P = ZPoly(terms)
+    adj = _crossings(over, under)
+    for c in range(1, len(adj)):
+        dc = deg[c]
+        sc = sign[c]
+        for n, P in _index_polys(adj[c], deg, sign, dc, policy, include_n0).items():
             if not P:
                 continue
-            key = TermKey(n, 0 if P.is_constant() else m, P)
+            key = TermKey(n, 0 if P.is_constant() else abs(dc), P)
             exp_terms[key] = exp_terms.get(key, 0) + sc
             const_terms[n] -= sc
     return Invariant(policy, exp_terms, const_terms)

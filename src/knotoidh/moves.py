@@ -51,6 +51,13 @@ class MoveError(ValueError):
     """Raised when a move's pattern precondition fails."""
 
 
+class _Params(dict):
+    """Move params whose missing entries raise MoveError, not KeyError."""
+
+    def __missing__(self, name):
+        raise MoveError("move is missing param %r" % name)
+
+
 @dataclass
 class MoveSpec:
     kind: str
@@ -188,14 +195,9 @@ def detect_r2(d: GaussDiagram) -> list:
     """All deletable poke pairs as (first_id, second_id), position order."""
     out = []
     events = d.events
-    views = d.chords()
-    for p in range(len(events) - 1):
-        ea, eb = events[p], events[p + 1]
-        if ea.kind == "O" and eb.kind == "O" and ea.chord != eb.chord:
-            if _r2_pattern(d, ea.chord, eb.chord):
-                va = views[ea.chord]
-                if va.over_pos == p + 1:
-                    out.append((ea.chord, eb.chord))
+    for ea, eb in zip(events, events[1:]):
+        if ea.kind == eb.kind == "O" and _r2_pattern(d, ea.chord, eb.chord):
+            out.append((ea.chord, eb.chord))
     return out
 
 
@@ -271,7 +273,7 @@ def r3_apply(d: GaussDiagram, config: R3Config) -> GaussDiagram:
 
 
 def apply_move(d: GaussDiagram, spec: MoveSpec) -> GaussDiagram:
-    kind, prm = spec.kind, spec.params
+    kind, prm = spec.kind, _Params(spec.params)
     if kind == "r1_insert":
         return r1_insert(d, prm["gap"], prm.get("direction", FORWARD),
                          prm.get("sign", 1), prm.get("cid"))
@@ -292,7 +294,7 @@ def apply_move(d: GaussDiagram, spec: MoveSpec) -> GaussDiagram:
 
 def inverse_spec(d: GaussDiagram, spec: MoveSpec) -> MoveSpec:
     """The move undoing `spec`, where `spec` has not yet been applied to d."""
-    kind, prm = spec.kind, spec.params
+    kind, prm = spec.kind, _Params(spec.params)
     if kind == "r1_insert":
         return MoveSpec("r1_delete", {"cid": prm.get("cid") or d.k + 1})
     if kind == "r1_delete":
@@ -410,10 +412,13 @@ def format_trace(specs) -> str:
 
 def parse_trace(text: str) -> list:
     out = []
-    for line in text.splitlines():
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
         obj = json.loads(line)
+        if not (isinstance(obj, dict) and "move" in obj
+                and isinstance(obj.get("params"), dict)):
+            raise MoveError('line %d: expected {"move": kind, "params": {...}}' % lineno)
         out.append(MoveSpec(obj["move"], obj["params"]))
     return out

@@ -105,7 +105,8 @@ def test_gordian_not_homotopy_form(capsys):
     obj = json.loads(out)
     assert rc == 0
     assert obj == {"bound": None, "per_n": {}, "pairs": [],
-                   "status": "not_homotopy_form"}
+                   "status": "not_homotopy_form",
+                   "reason": "partner coefficients differ at y^1: 1 vs -1"}
     rc, out, err = run(capsys, "gordian", code, "")
     assert rc == 0 and out.strip() == "not_homotopy_form" and err
 
@@ -117,6 +118,18 @@ def test_selftest(capsys):
     names = {p["name"] for p in report["properties"]}
     assert names == {"move_invariance", "reverse_identity", "mirror_identity",
                      "order_one", "crossing_change_delta", "nested_zero_height"}
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_selftest_rejects_max_chords_below_two(capsys, value):
+    rc, out, err = run(capsys, "selftest", "--max-chords", value)
+    assert rc == 2 and out == ""
+    assert err == "error: --max-chords must be at least 2\n"
+
+
+def test_selftest_accepts_max_chords_two(capsys):
+    rc, out, _ = run(capsys, "selftest", "--samples", "3", "--max-chords", "2")
+    assert rc == 0 and json.loads(out)["max_chords"] == 2
 
 
 def test_usage_error_exits_nonzero():

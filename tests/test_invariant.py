@@ -159,6 +159,18 @@ def test_singular_diagram_is_rejected():
         compute_H(d)
 
 
+def test_degree_is_undefined_exactly_where_a_singular_chord_crosses():
+    w = FIXTURES["singular_witness"]  # O1- O2* U3+ U4- O3+ U1- U2* O4-
+    msg = r"^degree undefined: crossing chord 2 is singular$"
+    for c in (1, 4):  # the chords that singular chord 2 crosses
+        with pytest.raises(GaussCodeError, match=msg):
+            degree(w, c)
+    assert degree(w, 2) == -2 and degree(w, 3) == 1
+    for policy in (QUOT, LIT):
+        with pytest.raises(GaussCodeError, match=msg):
+            index_function(w, 1, 1, policy)
+
+
 def test_policy_mismatch_raises():
     d = FIXTURES["2_2"]
     with pytest.raises(ValueError, match="polic"):

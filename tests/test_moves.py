@@ -188,3 +188,28 @@ def test_walk_respects_allowed_kinds():
 def test_apply_move_rejects_unknown_kind():
     with pytest.raises(MoveError, match="unknown"):
         apply_move(random_diagram(1, 0), MoveSpec("r4", {}))
+
+
+@pytest.mark.parametrize("kind, params, missing", [
+    ("r1_insert", {}, "gap"),
+    ("r1_delete", {}, "cid"),
+    ("r2_insert", {"gap_a": 0}, "gap_b"),
+    ("r2_delete", {"id1": 1}, "id2"),
+    ("r3", {"variant": "3a", "bases": [1, 3, 5]}, "roles"),
+])
+def test_missing_move_params_raise_move_error(kind, params, missing):
+    d = random_diagram(3, 0)
+    with pytest.raises(MoveError, match="missing param '%s'" % missing):
+        apply_move(d, MoveSpec(kind, params))
+    if kind.endswith("_delete"):  # the only inverses that read the params
+        with pytest.raises(MoveError, match="missing param '%s'" % missing):
+            inverse_spec(d, MoveSpec(kind, params))
+
+
+def test_parse_trace_rejects_malformed_lines_with_line_number():
+    good = '{"move": "r1_delete", "params": {"cid": 1}}'
+    assert parse_trace(good + "\n\n" + good) == [MoveSpec("r1_delete", {"cid": 1})] * 2
+    for bad in ('{"move": "r1_delete"}', '{"params": {}}', '[1, 2]',
+                '{"move": "r3", "params": [1]}'):
+        with pytest.raises(MoveError, match="line 3: expected"):
+            parse_trace(good + "\n\n" + bad)
