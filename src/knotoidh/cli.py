@@ -86,6 +86,8 @@ def _cmd_gordian(args) -> int:
 
 def run_selftest(samples: int = 100, max_chords: int = 6, seed: int = 0) -> dict:
     """Seeded property battery; `ok` ignores non-fatal Literal walk failures."""
+    if max_chords < 2:
+        raise ValueError("max_chords must be at least 2")
     rng = random.Random(seed)
     Q, L = ReductionPolicy.QUOTIENT, ReductionPolicy.LITERAL
     props = []

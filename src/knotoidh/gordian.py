@@ -17,7 +17,7 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram
-from .invariant import (Invariant, TermKey, compute_H, crossing_partition, degree,
+from .invariant import (Invariant, compute_H, crossing_partition, degree,
                         index_function, invariant_sub)
 from .zpoly import ReductionPolicy, reduce_poly
 
@@ -63,16 +63,11 @@ def crossing_change_delta(d: GaussDiagram, cid: int,
     m = abs(dc)
     right, left = crossing_partition(d, cid)
     ns = sorted({math.gcd(dc, degree(d, e)) for e in right + left} - {0})
-    exp = defaultdict(int)
-    const = {}
+    summands = []
     for n in ns:
         ind = index_function(d, cid, n, policy)
-        if not ind:
-            continue
-        for P in (ind, _partner(ind, m, policy)):
-            exp[TermKey(n, 0 if P.is_constant() else m, P)] += eps
-        const[n] = const.get(n, 0) - 2 * eps
-    return Invariant(policy, exp, const)
+        summands += [(n, m, ind, eps), (n, m, _partner(ind, m, policy), eps)]
+    return Invariant.from_summands(policy, summands)
 
 
 def decompose(delta: Invariant) -> GordianDecomposition:
@@ -131,13 +126,8 @@ def decompose(delta: Invariant) -> GordianDecomposition:
 
 def reconstruct(dec: GordianDecomposition) -> Invariant:
     """Invariant equal to the decomposed difference, bit for bit."""
-    exp = defaultdict(int)
-    const = {}
-    for n, m, P, a in dec.pairs:
-        exp[TermKey(n, m, P)] += a
-        exp[TermKey(n, m, _partner(P, m, dec.policy))] += a
-        const[n] = const.get(n, 0) - 2 * a
-    return Invariant(dec.policy, exp, const)
+    return Invariant.from_summands(dec.policy, (
+        (n, m, Q, a) for n, m, P, a in dec.pairs for Q in (P, _partner(P, m, dec.policy))))
 
 
 def gordian_lower_bound(d1: GaussDiagram, d2: GaussDiagram,

@@ -18,7 +18,9 @@ collects, over all chords and all n >= 1,
 
 stored sparsely as coefficients on t-exponent polynomials plus a constant
 per y-stratum.  Pairs with gcd 0 (both degrees zero) are skipped unless
-include_n0 is set.
+include_n0 is set.  Crossing-change deltas and skein sums are signed sums of
+the same summand (t^P - 1) y^n, and Invariant.from_summands is the one place
+that turns summands into stored terms.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import re
 from collections import defaultdict, namedtuple
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram
-from .zpoly import ReductionPolicy, ZPoly, reduce_exponent, reduce_poly
+from .zpoly import ReductionPolicy, ZPoly, _join_signed, reduce_exponent, reduce_poly
 
 __all__ = [
     "TermKey",
@@ -54,6 +56,10 @@ __all__ = [
 TermKey = namedtuple("TermKey", ["n", "m", "P"])
 
 
+def _term_key(n, m, P):
+    return TermKey(n, 0 if P.is_constant() else m, P)
+
+
 class Invariant:
     """Sparse value of H for one diagram under one reduction policy.
 
@@ -70,6 +76,20 @@ class Invariant:
         self.exp_terms = {k: v for k, v in (exp_terms or {}).items() if v}
         self.const_terms = {n: v for n, v in (const_terms or {}).items() if v}
 
+    @classmethod
+    def from_summands(cls, policy, items):
+        """Sum of s (t^P - 1) y^n over items (n, m, P, s), P reduced mod m.
+
+        A zero P adds nothing, since t^0 - 1 = 0.
+        """
+        exp = defaultdict(int)
+        const = defaultdict(int)
+        for n, m, P, s in items:
+            if P:
+                exp[_term_key(n, m, P)] += s
+                const[n] -= s
+        return cls(policy, exp, const)
+
     def is_zero(self) -> bool:
         return not self.exp_terms and not self.const_terms
 
@@ -82,6 +102,9 @@ class Invariant:
         return hash((self.policy,
                      frozenset(self.exp_terms.items()),
                      frozenset(self.const_terms.items())))
+
+    def __add__(self, other):
+        return _merge(self, other, 1)
 
     def __sub__(self, other):
         return invariant_sub(self, other)
@@ -104,21 +127,24 @@ def invariant_equal(a: Invariant, b: Invariant) -> bool:
     return a.exp_terms == b.exp_terms and a.const_terms == b.const_terms
 
 
-def invariant_sub(a: Invariant, b: Invariant) -> Invariant:
+def _merge(a: Invariant, b: Invariant, sign: int) -> Invariant:
+    """a + sign * b."""
     _check_policies(a, b)
-    exp = dict(a.exp_terms)
-    for key, c in b.exp_terms.items():
-        exp[key] = exp.get(key, 0) - c
-    const = dict(a.const_terms)
-    for n, c in b.const_terms.items():
-        const[n] = const.get(n, 0) - c
-    return Invariant(a.policy, exp, const)
+    merged = []
+    for ours, theirs in ((a.exp_terms, b.exp_terms), (a.const_terms, b.const_terms)):
+        out = dict(ours)
+        for key, c in theirs.items():
+            out[key] = out.get(key, 0) + sign * c
+        merged.append(out)
+    return Invariant(a.policy, *merged)
+
+
+def invariant_sub(a: Invariant, b: Invariant) -> Invariant:
+    return _merge(a, b, -1)
 
 
 def invariant_neg(a: Invariant) -> Invariant:
-    return Invariant(a.policy,
-                     {k: -c for k, c in a.exp_terms.items()},
-                     {n: -c for n, c in a.const_terms.items()})
+    return _merge(Invariant(a.policy), a, -1)
 
 
 def nonzero_height_certificate(inv: Invariant) -> bool:
@@ -213,35 +239,29 @@ def compute_H(d: GaussDiagram,
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
     over, under, sign, deg = d._table
-    exp_terms = {}
-    const_terms = defaultdict(int)
     adj = _crossings(over, under)
-    for c in range(1, len(adj)):
-        dc = deg[c]
-        sc = sign[c]
-        for n, P in _index_polys(adj[c], deg, sign, dc, policy, include_n0).items():
-            if not P:
-                continue
-            key = TermKey(n, 0 if P.is_constant() else abs(dc), P)
-            exp_terms[key] = exp_terms.get(key, 0) + sc
-            const_terms[n] -= sc
-    return Invariant(policy, exp_terms, const_terms)
+    return Invariant.from_summands(policy, (
+        (n, abs(deg[c]), P, sign[c])
+        for c in range(1, len(adj))
+        for n, P in _index_polys(adj[c], deg, sign, deg[c], policy, include_n0).items()))
+
+
+def _map_exponents(inv: Invariant, f) -> Invariant:
+    """Replace every t-exponent polynomial P by f(P), re-reduced."""
+    exp = defaultdict(int)
+    for (n, m, P), c in inv.exp_terms.items():
+        exp[TermKey(n, m, reduce_poly(f(P), m, inv.policy))] += c
+    return Invariant(inv.policy, exp, dict(inv.const_terms))
 
 
 def subst_t_inverse(inv: Invariant) -> Invariant:
     """t -> t^-1: every t-exponent polynomial P becomes -P, re-reduced."""
-    exp = defaultdict(int)
-    for (n, m, P), c in inv.exp_terms.items():
-        exp[TermKey(n, m, reduce_poly(-P, m, inv.policy))] += c
-    return Invariant(inv.policy, exp, dict(inv.const_terms))
+    return _map_exponents(inv, ZPoly.__neg__)
 
 
 def subst_z_inverse(inv: Invariant) -> Invariant:
     """z -> z^-1 inside every t-exponent polynomial, re-reduced."""
-    exp = defaultdict(int)
-    for (n, m, P), c in inv.exp_terms.items():
-        exp[TermKey(n, m, reduce_poly(P.subst_z_inverse(), m, inv.policy))] += c
-    return Invariant(inv.policy, exp, dict(inv.const_terms))
+    return _map_exponents(inv, ZPoly.subst_z_inverse)
 
 
 def _sorted_keys(inv: Invariant):
@@ -276,36 +296,21 @@ def _y_power(n: int, latex: bool) -> str:
 
 def _render_terms(inv: Invariant, latex: bool) -> str:
     strata = sorted(set(k.n for k in inv.exp_terms) | set(inv.const_terms))
-    if not strata:
-        return "0"
     keys_by_n = defaultdict(list)
     for key in _sorted_keys(inv):
         keys_by_n[key.n].append(key)
+    t_power = _t_power_latex if latex else _t_power
     out = []
     for n in strata:
-        pieces = []
-        for key in keys_by_n[n]:
-            c = inv.exp_terms[key]
-            tp = _t_power_latex(key.P) if latex else _t_power(key.P)
-            if abs(c) != 1:
-                tp = ("%d%s" if latex else "%d*%s") % (abs(c), tp)
-            if not pieces:
-                pieces.append(tp if c > 0 else "-" + tp)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + tp)
-        c = inv.const_terms.get(n, 0)
-        if c:
-            body = str(abs(c))
-            if not pieces:
-                pieces.append(body if c > 0 else "-" + body)
-            else:
-                pieces.append(("+ " if c > 0 else "- ") + body)
-        body = " ".join(pieces)
+        terms = [(inv.exp_terms[key], t_power(key.P)) for key in keys_by_n[n]]
+        if n in inv.const_terms:
+            terms.append((inv.const_terms[n], ""))
+        body = _join_signed(terms, times="" if latex else "*")
         if latex:
             out.append("\\left(%s\\right)%s" % (body, _y_power(n, True)))
         else:
             out.append("(%s)%s" % (body, _y_power(n, False)))
-    return " + ".join(out)
+    return " + ".join(out) or "0"
 
 
 def invariant_to_json(inv: Invariant) -> str:
@@ -315,16 +320,52 @@ def invariant_to_json(inv: Invariant) -> str:
     return json.dumps({"policy": inv.policy.value, "terms": terms, "consts": consts})
 
 
+def _json_int(obj, field, minimum=None) -> int:
+    """obj[field], which must be an int (not a bool) and at least `minimum`."""
+    v = obj.get(field) if isinstance(obj, dict) else None
+    if type(v) is not int or (minimum is not None and v < minimum):
+        want = "an integer" if minimum is None else "an integer >= %d" % minimum
+        raise ValueError("%s must be %s in %r" % (field, want, obj))
+    return v
+
+
 def invariant_from_json(text: str) -> Invariant:
+    """Read invariant_to_json output; a term not in canonical form raises ValueError."""
     data = json.loads(text)
+    if not (isinstance(data, dict) and isinstance(data.get("terms"), list)
+            and isinstance(data.get("consts"), list)):
+        raise ValueError('expected {"policy": ..., "terms": [...], "consts": [...]}')
     policy = ReductionPolicy(data["policy"])
     exp = {}
     for t in data["terms"]:
-        key = TermKey(int(t["n"]), int(t["m"]), ZPoly([(e, c) for e, c in t["P"]]))
-        if not key.P:
+        n, m, coeff = _json_int(t, "n", 0), _json_int(t, "m", 0), _json_int(t, "coeff")
+        pairs = t.get("P")
+        if not (isinstance(pairs, list) and all(
+                isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
+                for p in pairs)):
+            raise ValueError("P must be a list of [exponent, coefficient] integer pairs"
+                             " in term %r" % (t,))
+        P = ZPoly(pairs)
+        if not P:
             raise ValueError("zero exponent polynomial in term %r" % (t,))
-        exp[key] = exp.get(key, 0) + int(t["coeff"])
-    const = {int(t["n"]): int(t["coeff"]) for t in data["consts"]}
+        if [list(p) for p in P.terms] != pairs:
+            raise ValueError("P needs ascending distinct exponents and nonzero"
+                             " coefficients in term %r" % (t,))
+        if _term_key(n, m, P).m != m:
+            raise ValueError("constant exponent polynomial needs m = 0 in term %r" % (t,))
+        if reduce_poly(P, m, policy) != P:
+            raise ValueError("exponents not reduced mod %d under %s in term %r"
+                             % (m, policy.value, t))
+        key = TermKey(n, m, P)
+        if key in exp or not coeff:
+            raise ValueError("duplicate or zero-coefficient term %r" % (t,))
+        exp[key] = coeff
+    const = {}
+    for t in data["consts"]:
+        n, coeff = _json_int(t, "n", 0), _json_int(t, "coeff")
+        if n in const or not coeff:
+            raise ValueError("duplicate or zero-coefficient constant %r" % (t,))
+        const[n] = coeff
     return Invariant(policy, exp, const)
 
 

@@ -51,8 +51,25 @@ class MoveError(ValueError):
     """Raised when a move's pattern precondition fails."""
 
 
+_INT_PARAMS = ("gap", "sign", "cid", "gap_a", "gap_b", "id1", "id2")
+_INT_LIST_PARAMS = ("cids", "bases", "roles")
+_STR_PARAMS = ("direction", "assignment", "variant")
+
+
 class _Params(dict):
-    """Move params whose missing entries raise MoveError, not KeyError."""
+    """Move params whose missing or wrongly typed entries raise MoveError."""
+
+    def __init__(self, params):
+        super().__init__(params)
+        for name, value in self.items():
+            if name in _INT_PARAMS and type(value) is not int:
+                raise MoveError("param %r must be an integer, got %r" % (name, value))
+            if name in _INT_LIST_PARAMS and not (isinstance(value, (list, tuple))
+                                                 and all(type(v) is int for v in value)):
+                raise MoveError("param %r must be a list of integers, got %r"
+                                % (name, value))
+            if name in _STR_PARAMS and not isinstance(value, str):
+                raise MoveError("param %r must be a string, got %r" % (name, value))
 
     def __missing__(self, name):
         raise MoveError("move is missing param %r" % name)
@@ -416,7 +433,10 @@ def parse_trace(text: str) -> list:
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MoveError("line %d: %s" % (lineno, exc)) from None
         if not (isinstance(obj, dict) and "move" in obj
                 and isinstance(obj.get("params"), dict)):
             raise MoveError('line %d: expected {"move": kind, "params": {...}}' % lineno)

@@ -64,16 +64,11 @@ def singular_H(d: GaussDiagram,
                include_n0: bool = False) -> Invariant:
     """Alternating sum of H over all full resolutions of d."""
     ids = d.singular_ids()
-    exp = {}
-    const = {}
+    total = Invariant(policy)
     for assignment in product((1, -1), repeat=len(ids)):
         h = compute_H(_resolve(d, dict(zip(ids, assignment))), policy, include_n0)
-        factor = -1 if assignment.count(-1) % 2 else 1
-        for key, c in h.exp_terms.items():
-            exp[key] = exp.get(key, 0) + factor * c
-        for n, c in h.const_terms.items():
-            const[n] = const.get(n, 0) + factor * c
-    return Invariant(policy, exp, const)
+        total = total - h if assignment.count(-1) % 2 else total + h
+    return total
 
 
 def random_singular_diagram(k: int, s: int, seed: int) -> GaussDiagram:

@@ -107,41 +107,35 @@ class ZPoly:
         return self.terms[0][1] if self.terms else 0
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        out = []
-        for e, c in self.terms:
-            if e == 0:
-                body = str(abs(c))
-            else:
-                power = "z" if e == 1 else "z^%d" % e
-                body = power if abs(c) == 1 else "%d*%s" % (abs(c), power)
-            if not out:
-                out.append(body if c > 0 else "-" + body)
-            else:
-                out.append(("+ " if c > 0 else "- ") + body)
-        return " ".join(out)
+        return _join_signed((c, "" if e == 0 else "z" if e == 1 else "z^%d" % e)
+                            for e, c in self.terms)
 
     def __repr__(self) -> str:
         return "ZPoly(%r)" % (self.terms,)
 
     def latex(self) -> str:
-        if not self.terms:
-            return "0"
-        out = []
-        for e, c in self.terms:
-            if e == 0:
-                body = str(abs(c))
-            elif e == 1:
-                body = "z" if abs(c) == 1 else "%dz" % abs(c)
-            else:
-                power = "z^{%d}" % e
-                body = power if abs(c) == 1 else "%d%s" % (abs(c), power)
-            if not out:
-                out.append(body if c > 0 else "-" + body)
-            else:
-                out.append(("+" if c > 0 else "-") + body)
-        return "".join(out)
+        return _join_signed(((c, "" if e == 0 else "z" if e == 1 else "z^{%d}" % e)
+                             for e, c in self.terms), times="", sep="")
+
+
+def _join_signed(terms, times: str = "*", sep: str = " ") -> str:
+    """Write (coefficient, body) pairs as a signed sum such as `-a + 2*b - 3`.
+
+    An empty body is the unit, shown as its bare |coefficient|; any other
+    body gets a |coefficient| prefix joined by `times` unless that is 1.
+    The sign comes first on the leading term and between `sep`s after it.
+    """
+    out = []
+    for c, body in terms:
+        if not body:
+            body = str(abs(c))
+        elif abs(c) != 1:
+            body = "%d%s%s" % (abs(c), times, body)
+        if not out:
+            out.append(body if c > 0 else "-" + body)
+        else:
+            out.append(("+" if c > 0 else "-") + sep + body)
+    return sep.join(out) or "0"
 
 
 def reduce_poly(p: ZPoly, m: int, policy: ReductionPolicy) -> ZPoly:

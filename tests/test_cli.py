@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from knotoidh.cli import main
+from knotoidh.cli import main, run_selftest
 
 CODE = "O1+ U2+ U3- O4- O5+ U4- O2+ U1+ O3- U5+"
 REVERSED = "U5+ O3- U1+ O2+ U4- O5+ O4- U3- U2+ O1+"
@@ -125,6 +125,11 @@ def test_selftest_rejects_max_chords_below_two(capsys, value):
     rc, out, err = run(capsys, "selftest", "--max-chords", value)
     assert rc == 2 and out == ""
     assert err == "error: --max-chords must be at least 2\n"
+
+
+def test_run_selftest_rejects_max_chords_below_two():
+    with pytest.raises(ValueError, match="^max_chords must be at least 2$"):
+        run_selftest(2, 1, 0)
 
 
 def test_selftest_accepts_max_chords_two(capsys):

@@ -1,5 +1,8 @@
 """Degrees, index functions, H computation, symmetries, and rendering."""
 
+import json
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -86,6 +89,40 @@ def test_five_chord_invariant_renders():
     assert render(h_lit, "latex") == \
         (r"\left(-t^{-1} - t + t^{z^{-1}} + t^{-z}\right)y"
          r" + \left(t^{-1} + t - 2\right)y^{2}")
+
+
+# Text and LaTeX renders pinned byte for byte: coefficients of 2, -2 and -3,
+# inside exponents too; negative leading terms; a multi-term exponent; the
+# y^0 stratum; both policies of 5.1.28.
+RENDER_PINS = [
+    ("O1- U2- U1- O2-", QUOT, False,
+     "(-t^-1 - t + 2)*y", r"\left(-t^{-1} - t + 2\right)y"),
+    ("U3+ O2+ O1+ O3+ U1+ U2+", QUOT, False,
+     "(2*t^-1 + t^(2*z) - 3)*y", r"\left(2t^{-1} + t^{2z} - 3\right)y"),
+    ("U3+ O2- O1- O3+ U1- U2-", LIT, False,
+     "(-2*t^-1 + t^(-2*z^-1) + 1)*y", r"\left(-2t^{-1} + t^{-2z^{-1}} + 1\right)y"),
+    ("U4+ O3- U1- O2+ O1- O5+ O4+ U3- U5+ U2+", LIT, False,
+     "(t^-1 + t^(-2*z^-1) - t^(-2*z^-1 - z) - 1)*y",
+     r"\left(t^{-1} + t^{-2z^{-1}} - t^{-2z^{-1}-z} - 1\right)y"),
+    ("O3+ U2- U1+ O2- O4+ O1+ U3+ U4+", QUOT, True,
+     "(t^-1 + t - 2) + (t^(-z^-1) + t^(z^-1) - 2)*y",
+     r"\left(t^{-1} + t - 2\right) + \left(t^{-z^{-1}} + t^{z^{-1}} - 2\right)y"),
+    (FIXTURES["5.1.28"], QUOT, False,
+     "(-t^-1 - t + t^(-z) + t^z)*y + (t^-1 + t - 2)*y^2",
+     r"\left(-t^{-1} - t + t^{-z} + t^{z}\right)y + \left(t^{-1} + t - 2\right)y^{2}"),
+    (FIXTURES["5.1.28"], LIT, False,
+     "(-t^-1 - t + t^(z^-1) + t^(-z))*y + (t^-1 + t - 2)*y^2",
+     r"\left(-t^{-1} - t + t^{z^{-1}} + t^{-z}\right)y + \left(t^{-1} + t - 2\right)y^{2}"),
+]
+
+
+@pytest.mark.parametrize("d, policy, include_n0, text, latex", RENDER_PINS)
+def test_render_pins(d, policy, include_n0, text, latex):
+    if isinstance(d, str):
+        d = parse_gauss_code(d)
+    h = compute_H(d, policy, include_n0)
+    assert render(h, "text") == text
+    assert render(h, "latex") == latex
 
 
 def test_five_chord_invariant_terms():
@@ -177,13 +214,88 @@ def test_policy_mismatch_raises():
         invariant_equal(compute_H(d, QUOT), compute_H(d, LIT))
     with pytest.raises(ValueError, match="polic"):
         invariant_sub(compute_H(d, QUOT), compute_H(d, LIT))
+    with pytest.raises(ValueError, match="polic"):
+        compute_H(d, QUOT) + compute_H(d, LIT)
 
 
-@given(sizes, seeds, policies)
-def test_json_round_trip(k, seed, policy):
-    h = compute_H(random_diagram(k, seed), policy)
+@given(sizes, seeds, sizes, seeds, policies)
+def test_addition_laws(k1, seed1, k2, seed2, policy):
+    a = compute_H(random_diagram(k1, seed1), policy)
+    b = compute_H(random_diagram(k2, seed2), policy)
+    assert a + b == b + a
+    assert (a + b) - b == a
+    assert (a + (-a)).is_zero()
+
+
+def test_from_summands_stores_m_only_for_nonconstant_exponents():
+    z = ZPoly.monomial(1, 1)
+    h = Invariant.from_summands(QUOT, [(1, 3, ZPoly.const(2), 1), (1, 3, z, -2),
+                                       (1, 3, z, 1), (2, 3, ZPoly(), 5)])
+    assert h.exp_terms == {TermKey(1, 0, ZPoly.const(2)): 1, TermKey(1, 3, z): -1}
+    assert h.const_terms == {}
+
+
+@given(sizes, seeds, policies, st.booleans())
+def test_json_round_trip(k, seed, policy, include_n0):
+    h = compute_H(random_diagram(k, seed), policy, include_n0)
     back = invariant_from_json(invariant_to_json(h))
     assert back == h and back.policy == policy
+
+
+def test_json_keeps_modulus_zero_on_a_degree_zero_chord():
+    h = compute_H(random_diagram(8, 295), QUOT)
+    assert h.exp_terms[TermKey(3, 0, ZPoly.monomial(-1, -3))] == 1
+    assert invariant_from_json(render(h, "json")) == h
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"n": 1.5}, "n must be an integer >= 0"),
+    ({"n": True}, "n must be an integer >= 0"),
+    ({"n": -1}, "n must be an integer >= 0"),
+    ({"m": "2"}, "m must be an integer >= 0"),
+    ({"m": -2}, "m must be an integer >= 0"),
+    ({"coeff": 1.0}, "coeff must be an integer"),
+    ({"coeff": False}, "coeff must be an integer"),
+    ({"P": [[1, 1.5]]}, "P must be a list"),
+    ({"P": [[True, 1]]}, "P must be a list"),
+    ({"P": [[1]]}, "P must be a list"),
+    ({"P": "z"}, "P must be a list"),
+    ({"P": []}, "zero exponent polynomial"),
+    ({"P": [[1, 1], [1, -1]]}, "zero exponent polynomial"),
+    ({"m": 0, "P": [[2, 1], [1, 1]]}, "ascending distinct exponents"),
+    ({"m": 0, "P": [[1, 1], [1, 1]]}, "ascending distinct exponents"),
+    ({"m": 0, "P": [[1, 0], [2, 1]]}, "ascending distinct exponents"),
+    ({"P": [[0, 1]]}, "constant exponent polynomial needs m = 0"),
+    ({"P": [[5, 1]]}, "not reduced mod 2 under quotient"),
+    ({"P": [[-1, 1]]}, "not reduced mod 2 under quotient"),
+    ({"policy": "literal", "m": 3, "P": [[2, 1]]}, "not reduced mod 3 under literal"),
+    ({"consts": [{"n": 1.5, "coeff": -1}]}, "n must be an integer >= 0"),
+    ({"consts": [{"n": 1, "coeff": "-1"}]}, "coeff must be an integer"),
+    ({"coeff": 0}, "duplicate or zero-coefficient term"),
+    ({"terms": [{"n": 1, "m": 0, "P": [[0, 1]], "coeff": 1}] * 2},
+     "duplicate or zero-coefficient term"),
+    ({"consts": [{"n": 1, "coeff": 0}]}, "duplicate or zero-coefficient constant"),
+    ({"consts": [{"n": 1, "coeff": -1}, {"n": 1, "coeff": 1}]},
+     "duplicate or zero-coefficient constant"),
+])
+def test_json_rejects_noncanonical_input(overrides, message):
+    term = {"n": 1, "m": 2, "P": [[1, 1]], "coeff": 1}
+    data = {"policy": "quotient", "terms": [term], "consts": []}
+    for key, value in overrides.items():
+        (data if key in data else term)[key] = value
+    with pytest.raises(ValueError, match=re.escape(message)) as info:
+        invariant_from_json(json.dumps(data))
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("text", [
+    "[]", '{"policy": "quotient", "consts": []}',
+    '{"policy": "quotient", "terms": {}, "consts": []}',
+    '{"policy": "quotient", "terms": [], "consts": null}',
+])
+def test_json_rejects_a_malformed_document(text):
+    with pytest.raises(ValueError, match="^expected"):
+        invariant_from_json(text)
 
 
 def test_render_formats():

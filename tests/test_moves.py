@@ -213,3 +213,26 @@ def test_parse_trace_rejects_malformed_lines_with_line_number():
                 '{"move": "r3", "params": [1]}'):
         with pytest.raises(MoveError, match="line 3: expected"):
             parse_trace(good + "\n\n" + bad)
+    with pytest.raises(MoveError, match="^line 2: Expecting property name"):
+        parse_trace('{"move": "r3", "params": {}}\n{oops')
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("r1_insert", {"gap": "x"}, "gap"),
+    ("r1_insert", {"gap": True}, "gap"),
+    ("r1_insert", {"gap": 0, "sign": 1.0}, "sign"),
+    ("r1_insert", {"gap": 0, "cid": None}, "cid"),
+    ("r1_delete", {"cid": "1"}, "cid"),
+    ("r2_insert", {"gap_a": 0, "gap_b": 2, "cids": [4, "5"]}, "cids"),
+    ("r2_delete", {"id1": 1, "id2": 2.0}, "id2"),
+    ("r3", {"variant": "3a", "bases": "abc", "roles": [1, 2, 3]}, "bases"),
+    ("r3", {"variant": "3a", "bases": [1, 3, 5], "roles": [1, False, 3]}, "roles"),
+    ("r3", {"variant": ["3a"], "bases": [1, 3, 5], "roles": [1, 2, 3]}, "variant"),
+    ("r1_insert", {"gap": 0, "direction": 1}, "direction"),
+    ("r2_insert", {"gap_a": 0, "gap_b": 2, "assignment": None}, "assignment"),
+])
+def test_wrongly_typed_move_params_raise_move_error(kind, params, name):
+    d = random_diagram(3, 0)
+    for fn in (apply_move, inverse_spec):
+        with pytest.raises(MoveError, match="^param '%s' must be" % name):
+            fn(d, MoveSpec(kind, params))

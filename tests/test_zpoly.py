@@ -122,6 +122,9 @@ def test_latex_rendering():
     assert ZPoly.monomial(1, -1).latex() == "z^{-1}"
     assert ZPoly.monomial(-1, 1).latex() == "-z"
     assert ZPoly([(0, 1), (2, 1)]).latex() == "1+z^{2}"
+    assert ZPoly([(1, 2), (2, -3)]).latex() == "2z-3z^{2}"
+    assert ZPoly([(-1, -1), (0, -2)]).latex() == "-z^{-1}-2"
+    assert ZPoly().latex() == "0"
 
 
 def test_reduce_poly_merges_collisions():
