@@ -25,7 +25,7 @@ from .moves import (BACKWARD, FIRST_NEGATIVE, FIRST_POSITIVE, FORWARD,
                     parse_trace, r1_delete, r1_insert, r2_delete, r2_insert,
                     r3_apply, random_walk)
 from .singular import (make_singular, random_singular_diagram, resolutions,
-                       singular_H, verify_order_one)
+                       singular_H)
 from .zpoly import ReductionPolicy, ZPoly, reduce_exponent, reduce_poly
 
 __version__ = "0.1.0"

@@ -12,22 +12,23 @@ Exit codes: 0 success, 1 property failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
 
-from .gauss import (GaussCodeError, crossing_change, load_gko, mirror,
-                    parse_gauss_code, random_diagram, random_nested_diagram,
-                    reverse, serialize)
+from .gauss import (GaussCodeError, bundled_diagrams, crossing_change,
+                    load_gko, mirror, parse_gauss_code, random_diagram,
+                    random_nested_diagram, reverse, serialize)
 from .gordian import (NotHomotopyForm, crossing_change_delta, decompose,
-                      decomposition_json, gordian_lower_bound)
-from .invariant import (compute_H, invariant_neg, invariant_sub, render,
-                        subst_t_inverse, subst_z_inverse)
-from .moves import random_walk
-from .singular import verify_order_one
+                      decomposition_json)
+from .invariant import (Invariant, compute_H, invariant_neg, invariant_sub,
+                        render, subst_t_inverse, subst_z_inverse)
+from .moves import format_trace, random_walk
+from .singular import random_singular_diagram, singular_H
 from .zpoly import ReductionPolicy
 
-__all__ = ["main", "run_selftest"]
+__all__ = ["PROPERTIES", "main", "run_selftest", "symmetry_image"]
 
 
 def _policy(args) -> ReductionPolicy:
@@ -45,6 +46,12 @@ def _cmd_compute(args) -> int:
     return 0
 
 
+def symmetry_image(h: Invariant, kind: str) -> Invariant:
+    """Predicted H of the reversed ("reverse") or mirrored ("mirror") diagram."""
+    h = subst_t_inverse(h)
+    return h if kind == "reverse" else invariant_neg(subst_z_inverse(h))
+
+
 def _cmd_compare(args) -> int:
     policy = _policy(args)
     ha = compute_H(parse_gauss_code(args.code_a), policy)
@@ -52,11 +59,7 @@ def _cmd_compare(args) -> int:
     print("equal" if ha == hb else "distinct")
     if args.check == "none":
         return 0
-    if args.check == "reverse":
-        predicted = subst_t_inverse(ha)
-    else:
-        predicted = invariant_neg(subst_z_inverse(subst_t_inverse(ha)))
-    if hb == predicted:
+    if hb == symmetry_image(ha, args.check):
         print("%s identity holds" % args.check)
         return 0
     print("%s identity violated" % args.check)
@@ -84,79 +87,94 @@ def _cmd_gordian(args) -> int:
     return 0
 
 
+def _move_invariance(rng, max_chords, policy):
+    d = random_diagram(rng.randint(2, max_chords), rng.randrange(2 ** 31))
+    seed, trace = rng.randrange(2 ** 31), []
+    walked = random_walk(d, 6, seed, trace=trace)
+    if compute_H(d, policy) != compute_H(walked, policy):
+        return "%s\nseed %d\n%s" % (serialize(d), seed, format_trace(trace))
+
+
+def _reverse_identity(rng, max_chords, policy):
+    d = random_diagram(rng.randint(1, max_chords), rng.randrange(2 ** 31))
+    h = compute_H(d, policy)
+    if compute_H(reverse(d), policy) != symmetry_image(h, "reverse"):
+        return serialize(d)
+
+
+def _mirror_identity(rng, max_chords, policy):
+    d = random_diagram(rng.randint(1, max_chords), rng.randrange(2 ** 31))
+    h = compute_H(d, policy)
+    if compute_H(mirror(d), policy) != symmetry_image(h, "mirror"):
+        return serialize(d)
+
+
+@functools.cache
+def _witness():
+    return bundled_diagrams()["singular_witness"]
+
+
+def _order_one(rng, max_chords, policy):
+    k = rng.randint(2, max_chords)
+    d = random_singular_diagram(k, 2, rng.randrange(2 ** 31))
+    if not singular_H(d, policy).is_zero():
+        return serialize(d)
+    if singular_H(_witness(), policy).is_zero():
+        return "singular_witness collapsed to zero"
+
+
+def _crossing_change_delta(rng, max_chords, policy):
+    k = rng.randint(1, max_chords)
+    d, cid = random_diagram(k, rng.randrange(2 ** 31)), rng.randint(1, k)
+    actual = compute_H(d, policy) - compute_H(crossing_change(d, cid), policy)
+    if crossing_change_delta(d, cid, policy) != actual:
+        return "%s @%d" % (serialize(d), cid)
+
+
+def _nested_zero_height(rng, max_chords, policy):
+    d = random_nested_diagram(rng.randint(1, max_chords), rng.randrange(2 ** 31))
+    if not compute_H(d, policy).is_zero():
+        return serialize(d)
+
+
+# (name, check, fatal_under_literal): check(rng, max_chords, policy) draws
+# one sample and returns a replayable failure example or None.  Literal
+# exponents are not move invariant, so that row only reports.
+PROPERTIES = (
+    ("move_invariance", _move_invariance, False),
+    ("reverse_identity", _reverse_identity, True),
+    ("mirror_identity", _mirror_identity, True),
+    ("order_one", _order_one, True),
+    ("crossing_change_delta", _crossing_change_delta, True),
+    ("nested_zero_height", _nested_zero_height, True),
+)
+
+
 def run_selftest(samples: int = 100, max_chords: int = 6, seed: int = 0) -> dict:
     """Seeded property battery; `ok` ignores non-fatal Literal walk failures."""
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     if max_chords < 2:
         raise ValueError("max_chords must be at least 2")
     rng = random.Random(seed)
-    Q, L = ReductionPolicy.QUOTIENT, ReductionPolicy.LITERAL
     props = []
-
-    def record(name, policy, failures, fatal, total):
-        props.append({"name": name, "policy": policy.value, "samples": total,
-                      "failures": len(failures), "fatal": fatal,
-                      "examples": failures[:3]})
-
-    walk_fail = {Q: [], L: []}
-    for _ in range(samples):
-        k = rng.randint(2, max_chords)
-        d = random_diagram(k, rng.randrange(2 ** 31))
-        walked = random_walk(d, steps=6, seed=rng.randrange(2 ** 31))
-        for pol in (Q, L):
-            if not (compute_H(d, pol) == compute_H(walked, pol)):
-                walk_fail[pol].append(serialize(d))
-    record("move_invariance", Q, walk_fail[Q], True, samples)
-    record("move_invariance", L, walk_fail[L], False, samples)
-
-    for pol in (Q, L):
-        rev_fail, mir_fail = [], []
-        for _ in range(samples):
-            d = random_diagram(rng.randint(1, max_chords), rng.randrange(2 ** 31))
-            h = compute_H(d, pol)
-            if not (compute_H(reverse(d), pol) == subst_t_inverse(h)):
-                rev_fail.append(serialize(d))
-            if not (compute_H(mirror(d), pol)
-                    == invariant_neg(subst_z_inverse(subst_t_inverse(h)))):
-                mir_fail.append(serialize(d))
-        record("reverse_identity", pol, rev_fail, True, samples)
-        record("mirror_identity", pol, mir_fail, True, samples)
-
-    for pol in (Q, L):
-        rep = verify_order_one(samples=samples, max_chords=max_chords,
-                               seed=rng.randrange(2 ** 31), policy=pol)
-        fails = rep["failing"] if rep["two_singular_failures"] else []
-        if not rep["witness_nonzero"]:
-            fails = fails + ["singular_witness collapsed to zero"]
-        record("order_one", pol, fails, True, samples)
-
-    for pol in (Q, L):
-        delta_fail = []
-        for _ in range(samples):
-            k = rng.randint(1, max_chords)
-            d = random_diagram(k, rng.randrange(2 ** 31))
-            cid = rng.randint(1, k)
-            predicted = crossing_change_delta(d, cid, pol)
-            actual = invariant_sub(compute_H(d, pol),
-                                   compute_H(crossing_change(d, cid), pol))
-            if not (predicted == actual):
-                delta_fail.append("%s @%d" % (serialize(d), cid))
-        record("crossing_change_delta", pol, delta_fail, True, samples)
-
-    for pol in (Q, L):
-        nested_fail = []
-        for _ in range(samples):
-            d = random_nested_diagram(rng.randint(1, max_chords),
-                                      rng.randrange(2 ** 31))
-            if not compute_H(d, pol).is_zero():
-                nested_fail.append(serialize(d))
-        record("nested_zero_height", pol, nested_fail, True, samples)
-
+    for name, check, fatal_under_literal in PROPERTIES:
+        for policy in ReductionPolicy:
+            fatal = fatal_under_literal or policy is ReductionPolicy.QUOTIENT
+            failures = [ex for ex in (check(rng, max_chords, policy)
+                                      for _ in range(samples)) if ex is not None]
+            props.append({"name": name, "policy": policy.value, "samples": samples,
+                          "failures": len(failures), "fatal": fatal,
+                          "examples": failures[:3]})
     ok = all(p["failures"] == 0 for p in props if p["fatal"])
     return {"seed": seed, "samples": samples, "max_chords": max_chords,
             "properties": props, "ok": ok}
 
 
 def _cmd_selftest(args) -> int:
+    if args.samples < 1:
+        print("error: --samples must be at least 1", file=sys.stderr)
+        return 2
     if args.max_chords < 2:
         print("error: --max-chords must be at least 2", file=sys.stderr)
         return 2

@@ -57,9 +57,11 @@ _STR_PARAMS = ("direction", "assignment", "variant")
 
 
 class _Params(dict):
-    """Move params whose missing or wrongly typed entries raise MoveError."""
+    """Move params that raise MoveError unless a dict of well-typed entries."""
 
     def __init__(self, params):
+        if not isinstance(params, dict):
+            raise MoveError("move params must be a dict, got %r" % (params,))
         super().__init__(params)
         for name, value in self.items():
             if name in _INT_PARAMS and type(value) is not int:
@@ -75,7 +77,7 @@ class _Params(dict):
         raise MoveError("move is missing param %r" % name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MoveSpec:
     kind: str
     params: dict

@@ -1,10 +1,11 @@
-"""Skein resolutions of singular chords and the order-one check.
+"""Skein resolutions of singular chords.
 
 A singular chord resolves two ways: positively (keep the drawn direction,
 sign +1) and negatively (the crossing change of that).  The alternating
 sum over all 2^s resolutions extends H to diagrams with s singular
 chords; H is Vassiliev of order one exactly when this vanishes for s >= 2
-while some 1-singular diagram stays nonzero.
+while some 1-singular diagram stays nonzero.  The `order_one` row of the
+`knotoidh selftest` battery checks both halves.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import random
 from itertools import product
 
 from .gauss import (SINGULAR, Event, GaussCodeError, GaussDiagram,
-                    bundled_diagrams, crossing_change, random_diagram, serialize)
+                    crossing_change, random_diagram)
 from .invariant import Invariant, compute_H
 from .zpoly import ReductionPolicy
 
@@ -22,7 +23,6 @@ __all__ = [
     "resolutions",
     "singular_H",
     "random_singular_diagram",
-    "verify_order_one",
 ]
 
 
@@ -78,32 +78,3 @@ def random_singular_diagram(k: int, s: int, seed: int) -> GaussDiagram:
     d = random_diagram(k, seed)
     rng = random.Random(seed)
     return make_singular(d, rng.sample(range(1, k + 1), s))
-
-
-def verify_order_one(samples: int = 200, max_chords: int = 6, seed: int = 0,
-                     policy: ReductionPolicy = ReductionPolicy.QUOTIENT) -> dict:
-    """Check order-one behaviour on random 2-singular diagrams.
-
-    Every 2-singular diagram must have singular_H = 0; the bundled
-    1-singular witness must stay nonzero.  Returns a report dict with
-    `ok` summarizing both.
-    """
-    rng = random.Random(seed)
-    failing = []
-    for i in range(samples):
-        k = rng.randint(2, max(2, max_chords))
-        d = random_singular_diagram(k, 2, seed=rng.randrange(2 ** 31))
-        if not singular_H(d, policy).is_zero():
-            failing.append(serialize(d))
-    witness = bundled_diagrams()["singular_witness"]
-    witness_nonzero = not singular_H(witness, policy).is_zero()
-    return {
-        "samples": samples,
-        "max_chords": max_chords,
-        "seed": seed,
-        "policy": policy.value,
-        "two_singular_failures": len(failing),
-        "failing": failing[:3],
-        "witness_nonzero": witness_nonzero,
-        "ok": not failing and witness_nonzero,
-    }

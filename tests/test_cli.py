@@ -4,7 +4,14 @@ import json
 
 import pytest
 
+from knotoidh import cli
 from knotoidh.cli import main, run_selftest
+from knotoidh.gauss import (crossing_change, mirror, parse_gauss_code,
+                            random_diagram, serialize)
+from knotoidh.invariant import Invariant, compute_H
+from knotoidh.moves import apply_move, parse_trace, random_walk
+from knotoidh.singular import resolutions
+from knotoidh.zpoly import ReductionPolicy
 
 CODE = "O1+ U2+ U3- O4- O5+ U4- O2+ U1+ O3- U5+"
 REVERSED = "U5+ O3- U1+ O2+ U4- O5+ O4- U3- U2+ O1+"
@@ -85,6 +92,15 @@ def test_compare_mirror_check_detects_violation(capsys):
     assert out.splitlines() == ["equal", "mirror identity violated"]
 
 
+@pytest.mark.parametrize("mode", ["quotient", "literal"])
+def test_compare_mirror_check_holds(capsys, mode):
+    mirrored = serialize(mirror(parse_gauss_code(CODE)))
+    rc, out, _ = run(capsys, "compare", CODE, mirrored, "--check", "mirror",
+                     "--mode", mode)
+    assert rc == 0
+    assert out.splitlines() == ["distinct", "mirror identity holds"]
+
+
 def test_gordian_text(capsys):
     rc, out, _ = run(capsys, "gordian", CODE, "")
     assert rc == 0 and out.strip() == "bound: 2"
@@ -118,6 +134,82 @@ def test_selftest(capsys):
     names = {p["name"] for p in report["properties"]}
     assert names == {"move_invariance", "reverse_identity", "mirror_identity",
                      "order_one", "crossing_change_delta", "nested_zero_height"}
+
+
+def test_selftest_rows():
+    report = run_selftest(2, 3, 0)
+    rows = [(p["name"], p["policy"], p["fatal"]) for p in report["properties"]]
+    assert rows == [(name, policy, fatal or policy == "quotient")
+                    for name, fatal in [("move_invariance", False),
+                                        ("reverse_identity", True),
+                                        ("mirror_identity", True),
+                                        ("order_one", True),
+                                        ("crossing_change_delta", True),
+                                        ("nested_zero_height", True)]
+                    for policy in ("quotient", "literal")]
+    assert all(set(p) == {"name", "policy", "samples", "failures", "fatal",
+                          "examples"} and p["samples"] == 2
+               for p in report["properties"])
+
+
+def test_literal_walk_failure_is_non_fatal_and_replays():
+    # one of the rare draws where a walk moves a Literal exponent across a tie
+    report = run_selftest(3, 16, 5004483)
+    rows = {(p["name"], p["policy"]): p for p in report["properties"]}
+    row = rows["move_invariance", "literal"]
+    assert row["failures"] == 1 and row["fatal"] is False and report["ok"] is True
+    code, seed_line, trace = row["examples"][0].split("\n", 2)
+    d, seed = parse_gauss_code(code), int(seed_line.removeprefix("seed "))
+    walked = d
+    for spec in parse_trace(trace):
+        walked = apply_move(walked, spec)
+    assert walked == random_walk(d, 6, seed)
+    lit = ReductionPolicy.LITERAL
+    assert compute_H(walked, lit) != compute_H(d, lit)
+
+
+def _first_resolution_H(d, policy):
+    for cid in d.singular_ids():
+        d = resolutions(d, cid)[0]
+    return compute_H(d, policy)
+
+
+# One planted fault per row: each breaks exactly that row's guarantee.
+PLANTED = [
+    ("move_invariance", "random_walk",
+     lambda d, steps, seed, trace=None: crossing_change(d, 1)),
+    ("reverse_identity", "reverse", lambda d: d),
+    ("mirror_identity", "mirror", lambda d: d),
+    ("order_one", "singular_H", _first_resolution_H),
+    # a 1-singular kink, whose singular H is 0
+    ("order_one", "_witness", lambda: parse_gauss_code("O1* U1*")),
+    ("crossing_change_delta", "crossing_change_delta",
+     lambda d, cid, policy: Invariant(policy)),
+    ("nested_zero_height", "random_nested_diagram", random_diagram),
+]
+
+
+@pytest.mark.parametrize("name, binding, fault", PLANTED, ids=[p[1] for p in PLANTED])
+def test_planted_fault_fails_its_row(monkeypatch, name, binding, fault):
+    monkeypatch.setattr(cli, binding, fault)
+    report = run_selftest(20, 6, 0)
+    failing = {(p["name"], p["policy"]) for p in report["properties"]
+               if p["failures"] and p["fatal"]}
+    assert (name, "quotient") in failing
+    assert {n for n, _ in failing} == {name}
+    assert report["ok"] is False
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_selftest_rejects_samples_below_one(capsys, value):
+    rc, out, err = run(capsys, "selftest", "--samples", value)
+    assert rc == 2 and out == ""
+    assert err == "error: --samples must be at least 1\n"
+
+
+def test_run_selftest_rejects_samples_below_one():
+    with pytest.raises(ValueError, match="^samples must be at least 1$"):
+        run_selftest(0, 6, 0)
 
 
 @pytest.mark.parametrize("value", ["1", "0", "-3"])

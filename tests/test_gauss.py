@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from knotoidh.gauss import (
     GaussCodeError,
-    GaussDiagram,
     bundled_diagrams,
     crossing_change,
     from_chord_positions,

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from knotoidh.gauss import bundled_diagrams, crossing_change, random_diagram
 from knotoidh.gordian import (
-    GordianDecomposition,
     NotHomotopyForm,
     crossing_change_delta,
     decompose,

@@ -1,5 +1,6 @@
 """Reidemeister move generators, detection, inversion, and walk invariance."""
 
+import dataclasses
 import random
 
 import pytest
@@ -188,6 +189,20 @@ def test_walk_respects_allowed_kinds():
 def test_apply_move_rejects_unknown_kind():
     with pytest.raises(MoveError, match="unknown"):
         apply_move(random_diagram(1, 0), MoveSpec("r4", {}))
+
+
+@pytest.mark.parametrize("params", [None, [("gap", 0)], "gap=0"])
+def test_move_params_that_are_not_a_dict_raise_move_error(params):
+    d = random_diagram(3, 0)
+    for fn in (apply_move, inverse_spec):
+        with pytest.raises(MoveError, match="^move params must be a dict, got "):
+            fn(d, MoveSpec("r1_insert", params))
+
+
+def test_move_spec_is_frozen():
+    spec = MoveSpec("r1_delete", {"cid": 1})
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.kind = "r1_insert"
 
 
 @pytest.mark.parametrize("kind, params, missing", [

@@ -16,7 +16,6 @@ from knotoidh.singular import (
     random_singular_diagram,
     resolutions,
     singular_H,
-    verify_order_one,
 )
 from knotoidh.zpoly import ReductionPolicy, ZPoly
 
@@ -90,11 +89,3 @@ def test_three_singular_diagrams_vanish_too(k, seed):
     d = random_singular_diagram(k, 3, seed)
     assert singular_H(d).is_zero()
 
-
-def test_verify_order_one_report():
-    for policy in (QUOT, LIT):
-        report = verify_order_one(samples=80, max_chords=6, seed=5, policy=policy)
-        assert report["ok"] is True
-        assert report["two_singular_failures"] == 0
-        assert report["witness_nonzero"] is True
-        assert report["samples"] == 80
