@@ -14,11 +14,10 @@ from .gordian import (DeltaPair, GordianDecomposition, NotHomotopyForm,
                       crossing_change_delta, decompose, decomposition_json,
                       gordian_lower_bound, reconstruct)
 from .invariant import (Invariant, TermKey, compute_H, crossing_partition,
-                        degree, index_function, invariant_equal,
+                        degree, index_function, index_polys, invariant_equal,
                         invariant_from_json, invariant_neg, invariant_sub,
-                        invariant_to_json, n_partition,
-                        nonzero_height_certificate, render, subst_t_inverse,
-                        subst_z_inverse)
+                        invariant_to_json, nonzero_height_certificate, render,
+                        subst_t_inverse, subst_z_inverse)
 from .moves import (BACKWARD, FIRST_NEGATIVE, FIRST_POSITIVE, FORWARD,
                     MOVE_KINDS, MoveError, MoveSpec, R3Config, apply_move,
                     detect_r2, detect_r3, format_trace, inverse_spec,

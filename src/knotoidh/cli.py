@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 property failure, 2 usage or parse error.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import random
 import sys
@@ -109,17 +108,12 @@ def _mirror_identity(rng, max_chords, policy):
         return serialize(d)
 
 
-@functools.cache
-def _witness():
-    return bundled_diagrams()["singular_witness"]
-
-
 def _order_one(rng, max_chords, policy):
     k = rng.randint(2, max_chords)
     d = random_singular_diagram(k, 2, rng.randrange(2 ** 31))
     if not singular_H(d, policy).is_zero():
         return serialize(d)
-    if singular_H(_witness(), policy).is_zero():
+    if singular_H(bundled_diagrams()["singular_witness"], policy).is_zero():
         return "singular_witness collapsed to zero"
 
 

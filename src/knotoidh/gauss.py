@@ -17,7 +17,7 @@ import random
 import re
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from types import MappingProxyType
 
@@ -52,9 +52,11 @@ Event = namedtuple("Event", ["chord", "kind", "sign"])
 
 ChordView = namedtuple("ChordView", ["id", "over_pos", "under_pos", "sign"])
 
-# Derived chord data as plain lists indexed by chord id, slot 0 unused;
-# degree[c] is None when a singular chord crosses c.
-_ChordTable = namedtuple("_ChordTable", ["over", "under", "sign", "degree"])
+# Derived chord data as plain lists, slot 0 unused.  over, under, sign and
+# degree are indexed by chord id, degree[c] being None when a singular
+# chord crosses c; at[p] (the chord at position p) and mate[p] (the
+# position of its other endpoint) are indexed by position.
+_ChordTable = namedtuple("_ChordTable", ["over", "under", "sign", "degree", "at", "mate"])
 
 _TOKEN = re.compile(r"([OU])([0-9]+)([+\-*]?)\Z")
 
@@ -103,24 +105,27 @@ class GaussDiagram:
         """Derived chord data, built on first use; see _ChordTable."""
         k = self.k
         over, under, sign = [None] * (k + 1), [None] * (k + 1), [None] * (k + 1)
+        at, mate = [None] * (2 * k + 1), [None] * (2 * k + 1)
         prefix = [0]  # prefix[p]: Over signs minus Under signs at positions 1..p
         for pos, (cid, kind, s) in enumerate(self.events, start=1):
             (over if kind == "O" else under)[cid] = pos
             sign[cid] = s
+            at[pos] = cid
             prefix.append(prefix[-1] + (s if kind == "O" else -s))
+        for o, u in zip(over[1:], under[1:]):
+            mate[o], mate[u] = u, o
         # c's own endpoints add sgn(c) - sgn(c) = 0, so one formula fits both directions
         degree = [None] + [prefix[o - 1] - prefix[u] for o, u in zip(over[1:], under[1:])]
+        table = _ChordTable(over, under, sign, degree, at, mate)
         for e, s in enumerate(sign):
             if s == SINGULAR:
-                lo, hi = sorted((over[e], under[e]))
-                for cid in range(1, k + 1):
-                    if (lo < over[cid] < hi) != (lo < under[cid] < hi):
-                        degree[cid] = None
-        return _ChordTable(over, under, sign, degree)
+                for c, _ in _crossing_row(table, e):
+                    degree[c] = None
+        return table
 
     @cached_property
     def _views(self) -> dict:
-        over, under, sign, _ = self._table
+        over, under, sign = self._table[:3]
         return {cid: ChordView(cid, over[cid], under[cid], sign[cid])
                 for cid in range(1, self.k + 1)}
 
@@ -139,6 +144,22 @@ class GaussDiagram:
 
     def __str__(self) -> str:
         return serialize(self)
+
+
+def _crossing_row(table: _ChordTable, cid: int) -> list:
+    """[(e, in_r), ...] for the chords e crossing cid, in position order.
+
+    e crosses c when exactly one endpoint of e lies strictly inside c's
+    span, so the row is read from the events in that span.  e is in r(c)
+    when that endpoint is e's Over endpoint and c runs backward (Under
+    before Over), or its Under endpoint and c runs forward.
+    """
+    over, under, _, _, at, mate = table
+    o, u = over[cid], under[cid]
+    lo, hi = (u, o) if o > u else (o, u)
+    back = o > u
+    return [(at[p], (over[at[p]] == p) == back)
+            for p in range(lo + 1, hi) if not lo < mate[p] < hi]
 
 
 def from_chord_positions(chords) -> GaussDiagram:
@@ -281,11 +302,20 @@ def parse_gko(text: str) -> list:
 
 
 def load_gko(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gko(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GaussCodeError("%s is not UTF-8 text: %s" % (path, exc)) from None
+    return parse_gko(text)
+
+
+@cache
+def _bundled_pairs() -> tuple:
+    text = resources.files(__package__).joinpath("data/paper_fixtures.gko").read_text()
+    return tuple(parse_gko(text))
 
 
 def bundled_diagrams() -> dict:
-    """Named reference diagrams shipped with the package."""
-    text = resources.files(__package__).joinpath("data/paper_fixtures.gko").read_text()
-    return dict(parse_gko(text))
+    """Named reference diagrams shipped with the package, parsed once."""
+    return dict(_bundled_pairs())

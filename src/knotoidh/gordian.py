@@ -12,13 +12,11 @@ coefficient sums bound the Gordian distance from below.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram
-from .invariant import (Invariant, compute_H, crossing_partition, degree,
-                        index_function, invariant_sub)
+from .invariant import Invariant, compute_H, degree, index_polys, invariant_sub
 from .zpoly import ReductionPolicy, reduce_poly
 
 __all__ = [
@@ -59,15 +57,10 @@ def crossing_change_delta(d: GaussDiagram, cid: int,
     eps = d.chord(cid).sign
     if eps == SINGULAR:
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)
-    dc = degree(d, cid)
-    m = abs(dc)
-    right, left = crossing_partition(d, cid)
-    ns = sorted({math.gcd(dc, degree(d, e)) for e in right + left} - {0})
-    summands = []
-    for n in ns:
-        ind = index_function(d, cid, n, policy)
-        summands += [(n, m, ind, eps), (n, m, _partner(ind, m, policy), eps)]
-    return Invariant.from_summands(policy, summands)
+    m = abs(degree(d, cid))
+    return Invariant.from_summands(policy, (
+        (n, m, P, eps) for n, ind in index_polys(d, cid, policy).items() if n
+        for P in (ind, _partner(ind, m, policy))))
 
 
 def decompose(delta: Invariant) -> GordianDecomposition:

@@ -5,7 +5,11 @@ counted +1 from the right part r(c) and -1 from the left part l(c).  With
 W(p) the sum over positions 1..p of +sgn(e) at each Over endpoint and
 -sgn(e) at each Under endpoint, d(c) = W(o(c) - 1) - W(u(c)): nested chords
 cancel, so prefix sums give every degree in O(k).  d(c) is undefined exactly
-when a singular chord crosses c.  The crossing chords split further by
+when a singular chord crosses c.  The chords crossing c form its crossing
+row, read once from the events strictly inside c's span (e crosses c when
+exactly one endpoint of e lies there); H, the partitions, the index
+polynomials, the deltas and the singular rule all read that row, so H costs
+the sum of the span lengths.  The crossing chords split further by
 n = gcd(|d(c)|, |d(e)|), and each class contributes an index polynomial
 
     Ind_c^n(z) = sum_{e in r^n} sgn(e) z^{phi(d(e))}
@@ -30,7 +34,7 @@ import math
 import re
 from collections import defaultdict, namedtuple
 
-from .gauss import SINGULAR, GaussCodeError, GaussDiagram
+from .gauss import SINGULAR, GaussCodeError, GaussDiagram, _crossing_row
 from .zpoly import ReductionPolicy, ZPoly, _join_signed, reduce_exponent, reduce_poly
 
 __all__ = [
@@ -38,7 +42,7 @@ __all__ = [
     "Invariant",
     "degree",
     "crossing_partition",
-    "n_partition",
+    "index_polys",
     "index_function",
     "compute_H",
     "invariant_equal",
@@ -152,29 +156,8 @@ def nonzero_height_certificate(inv: Invariant) -> bool:
     return not inv.is_zero()
 
 
-def _crossings(over, under):
-    """adj[c] lists (e, side) for each chord e crossing c, side True for r(c)."""
-    k = len(over) - 1
-    adj = [[] for _ in range(k + 1)]
-    for i in range(1, k + 1):
-        oi = over[i]
-        ui = under[i]
-        lo, hi = (ui, oi) if oi > ui else (oi, ui)
-        up = oi > ui
-        for j in range(i + 1, k + 1):
-            oin = lo < over[j] < hi
-            if oin == (lo < under[j] < hi):
-                continue
-            adj[i].append((j, oin == up))
-            oj = over[j]
-            uj = under[j]
-            jlo, jhi = (uj, oj) if oj > uj else (oj, uj)
-            adj[j].append((i, (jlo < oi < jhi) == (oj > uj)))
-    return adj
-
-
 def _index_polys(row, deg, sign, dc, policy, include_n0):
-    """n -> Ind_c^n of a chord with degree dc and crossing row `row`, as in _crossings."""
+    """n -> Ind_c^n of a chord with degree dc and crossing row `row` (see index_polys)."""
     gcd = math.gcd
     red = reduce_exponent
     m = abs(dc)
@@ -193,43 +176,33 @@ def _index_polys(row, deg, sign, dc, policy, include_n0):
 def degree(d: GaussDiagram, cid: int) -> int:
     """d(c): signed crossing count, r(c) positive, l(c) negative."""
     d.chord(cid)  # raises for an unknown id
-    deg = d._table.degree[cid]
-    if deg is None:
-        right, left = crossing_partition(d, cid)
-        e = min(j for j in right + left if d._table.sign[j] == SINGULAR)
+    table = d._table
+    if table.degree[cid] is None:
+        e = min(e for e, _ in _crossing_row(table, cid) if table.sign[e] == SINGULAR)
         raise GaussCodeError("degree undefined: crossing chord %d is singular" % e)
-    return deg
+    return table.degree[cid]
 
 
 def crossing_partition(d: GaussDiagram, cid: int):
     """Ids of chords crossing cid, split as (right, left), each sorted."""
-    _, o, u, _ = d.chord(cid)
-    over, under, _, _ = d._table
-    lo, hi = (u, o) if o > u else (o, u)
-    right, left = [], []
-    for j in range(1, len(over)):
-        oin = lo < over[j] < hi
-        if oin != (lo < under[j] < hi):
-            (right if oin == (o > u) else left).append(j)
-    return tuple(right), tuple(left)
+    d.chord(cid)  # raises for an unknown id
+    row = sorted(_crossing_row(d._table, cid))
+    return tuple(e for e, in_r in row if in_r), tuple(e for e, in_r in row if not in_r)
 
 
-def n_partition(d: GaussDiagram, cid: int, n: int):
-    """Restrict the crossing partition of cid to gcd(|d(c)|,|d(e)|) == n."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
+    """n -> Ind_c^n(z) for each gcd class n of the chords crossing cid, n = 0 included."""
     dc = degree(d, cid)
-    return tuple(tuple(e for e in part if math.gcd(dc, degree(d, e)) == n)
-                 for part in crossing_partition(d, cid))
+    table = d._table
+    row = _crossing_row(table, cid)
+    for e, _ in row:
+        degree(d, e)  # raises where a singular chord leaves d(e) undefined
+    return _index_polys(row, table.degree, table.sign, dc, policy, True)
 
 
 def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -> ZPoly:
     """Ind_c^n(z) with exponents reduced mod |d(c)| under the policy."""
-    dc = degree(d, cid)
-    right, left = crossing_partition(d, cid)
-    row = [(j, True) for j in right] + [(j, False) for j in left]
-    deg = {j: degree(d, j) for j, _ in row}
-    return _index_polys(row, deg, d._table.sign, dc, policy, n == 0).get(n, ZPoly())
+    return index_polys(d, cid, policy).get(n, ZPoly())
 
 
 def compute_H(d: GaussDiagram,
@@ -238,12 +211,13 @@ def compute_H(d: GaussDiagram,
     """Evaluate H over all chords and all gcd classes of the diagram."""
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
-    over, under, sign, deg = d._table
-    adj = _crossings(over, under)
+    table = d._table
+    sign, deg = table.sign, table.degree
     return Invariant.from_summands(policy, (
         (n, abs(deg[c]), P, sign[c])
-        for c in range(1, len(adj))
-        for n, P in _index_polys(adj[c], deg, sign, deg[c], policy, include_n0).items()))
+        for c in range(1, d.k + 1)
+        for n, P in _index_polys(_crossing_row(table, c), deg, sign, deg[c],
+                                 policy, include_n0).items()))
 
 
 def _map_exponents(inv: Invariant, f) -> Invariant:

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .gauss import Event, GaussDiagram
 
@@ -52,24 +54,31 @@ class MoveError(ValueError):
 
 
 _INT_PARAMS = ("gap", "sign", "cid", "gap_a", "gap_b", "id1", "id2")
-_INT_LIST_PARAMS = ("cids", "bases", "roles")
+_INT_LIST_PARAMS = {"cids": 2, "bases": 3, "roles": 3}  # name -> length
 _STR_PARAMS = ("direction", "assignment", "variant")
+_PARAM_NAMES = frozenset(_INT_PARAMS + tuple(_INT_LIST_PARAMS) + _STR_PARAMS)
 
 
 class _Params(dict):
-    """Move params that raise MoveError unless a dict of well-typed entries."""
+    """Checked move params, list values as tuples; a missing one raises MoveError."""
 
     def __init__(self, params):
-        if not isinstance(params, dict):
+        if not isinstance(params, Mapping):
             raise MoveError("move params must be a dict, got %r" % (params,))
         super().__init__(params)
         for name, value in self.items():
+            if name not in _PARAM_NAMES:
+                raise MoveError("param %r must be one of the move params, got %r"
+                                % (name, value))
             if name in _INT_PARAMS and type(value) is not int:
                 raise MoveError("param %r must be an integer, got %r" % (name, value))
-            if name in _INT_LIST_PARAMS and not (isinstance(value, (list, tuple))
-                                                 and all(type(v) is int for v in value)):
-                raise MoveError("param %r must be a list of integers, got %r"
-                                % (name, value))
+            if name in _INT_LIST_PARAMS:
+                size = _INT_LIST_PARAMS[name]
+                if not (isinstance(value, (list, tuple)) and len(value) == size
+                        and all(type(v) is int for v in value)):
+                    raise MoveError("param %r must be a list of %d integers, got %r"
+                                    % (name, size, value))
+                self[name] = tuple(value)
             if name in _STR_PARAMS and not isinstance(value, str):
                 raise MoveError("param %r must be a string, got %r" % (name, value))
 
@@ -79,8 +88,16 @@ class _Params(dict):
 
 @dataclass(frozen=True)
 class MoveSpec:
+    """A move kind and its params, checked once and read-only from then on."""
+
     kind: str
-    params: dict
+    params: Mapping
+
+    def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(_Params(self.params)))
+
+    def __hash__(self):
+        return hash((self.kind, frozenset(self.params.items())))
 
 
 @dataclass(frozen=True)
@@ -292,28 +309,25 @@ def r3_apply(d: GaussDiagram, config: R3Config) -> GaussDiagram:
 
 
 def apply_move(d: GaussDiagram, spec: MoveSpec) -> GaussDiagram:
-    kind, prm = spec.kind, _Params(spec.params)
+    kind, prm = spec.kind, spec.params
     if kind == "r1_insert":
         return r1_insert(d, prm["gap"], prm.get("direction", FORWARD),
                          prm.get("sign", 1), prm.get("cid"))
     if kind == "r1_delete":
         return r1_delete(d, prm["cid"])
     if kind == "r2_insert":
-        cids = prm.get("cids")
         return r2_insert(d, prm["gap_a"], prm["gap_b"],
-                         prm.get("assignment", FIRST_POSITIVE),
-                         tuple(cids) if cids else None)
+                         prm.get("assignment", FIRST_POSITIVE), prm.get("cids"))
     if kind == "r2_delete":
         return r2_delete(d, prm["id1"], prm["id2"])
     if kind == "r3":
-        cfg = R3Config(prm["variant"], tuple(prm["bases"]), tuple(prm["roles"]))
-        return r3_apply(d, cfg)
+        return r3_apply(d, R3Config(prm["variant"], prm["bases"], prm["roles"]))
     raise MoveError("unknown move kind %r" % kind)
 
 
 def inverse_spec(d: GaussDiagram, spec: MoveSpec) -> MoveSpec:
     """The move undoing `spec`, where `spec` has not yet been applied to d."""
-    kind, prm = spec.kind, _Params(spec.params)
+    kind, prm = spec.kind, spec.params
     if kind == "r1_insert":
         return MoveSpec("r1_delete", {"cid": prm.get("cid") or d.k + 1})
     if kind == "r1_delete":
@@ -337,7 +351,7 @@ def inverse_spec(d: GaussDiagram, spec: MoveSpec) -> MoveSpec:
                                       "assignment": assignment,
                                       "cids": (first.id, second.id)})
     if kind == "r3":
-        return MoveSpec("r3", dict(prm))
+        return spec
     raise MoveError("unknown move kind %r" % kind)
 
 
@@ -426,7 +440,7 @@ def random_walk(d: GaussDiagram, steps: int, seed: int,
 
 def format_trace(specs) -> str:
     """One JSON object per line: {"move": kind, "params": {...}}."""
-    return "\n".join(json.dumps({"move": s.kind, "params": s.params}) for s in specs)
+    return "\n".join(json.dumps({"move": s.kind, "params": dict(s.params)}) for s in specs)
 
 
 def parse_trace(text: str) -> list:
@@ -442,5 +456,8 @@ def parse_trace(text: str) -> list:
         if not (isinstance(obj, dict) and "move" in obj
                 and isinstance(obj.get("params"), dict)):
             raise MoveError('line %d: expected {"move": kind, "params": {...}}' % lineno)
-        out.append(MoveSpec(obj["move"], obj["params"]))
+        try:
+            out.append(MoveSpec(obj["move"], obj["params"]))
+        except MoveError as exc:
+            raise MoveError("line %d: %s" % (lineno, exc)) from None
     return out

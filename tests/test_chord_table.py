@@ -1,4 +1,4 @@
-"""The cached chord table against a brute-force reading of the formulas.
+"""The cached chord table and H against a brute-force reading of the formulas.
 
 The reference below shares nothing with the library's chord table: it
 scans every ordered pair of chords, written straight from the
@@ -22,9 +22,11 @@ from knotoidh.gordian import crossing_change_delta
 from knotoidh.invariant import (
     Invariant,
     TermKey,
+    compute_H,
     crossing_partition,
     degree,
     index_function,
+    index_polys,
 )
 from knotoidh.zpoly import ReductionPolicy, ZPoly
 
@@ -81,6 +83,22 @@ def brute_index(ch, deg, c, n, policy):
     return {x: a for x, a in poly.items() if a}
 
 
+def brute_H(ch, deg, policy, include_n0):
+    """sum_c sum_n sgn(c) (t^Ind_c^n - 1) y^n, straight from the formula."""
+    exp, const = {}, {}
+    for c in ch:
+        ns = {math.gcd(deg[c], deg[e]) for e in ch if e != c and brute_side(ch[c], ch[e])}
+        for n in sorted(ns if include_n0 else ns - {0}):
+            ind = brute_index(ch, deg, c, n, policy)
+            if not ind:
+                continue
+            P = ZPoly(ind)
+            key = TermKey(n, 0 if P.is_constant() else abs(deg[c]), P)
+            exp[key] = exp.get(key, 0) + ch[c][2]
+            const[n] = const.get(n, 0) - ch[c][2]
+    return Invariant(policy, exp, const)
+
+
 def brute_delta(ch, deg, c, policy):
     """eps * sum_n (t^Ind + t^{-Ind(z^-1)} - 2) y^n, straight from the formula."""
     eps, m = ch[c][2], abs(deg[c])
@@ -114,13 +132,21 @@ def test_table_matches_brute_force(make, k, seed):
         right = tuple(e for e in ch if e != c and brute_side(ch[c], ch[e]) > 0)
         left = tuple(e for e in ch if e != c and brute_side(ch[c], ch[e]) < 0)
         assert crossing_partition(d, c) == (right, left)
-        ns = {math.gcd(deg[c], deg[e]) for e in right + left} | {0, 1, 2}
+        classes = {math.gcd(deg[c], deg[e]) for e in right + left}
         for policy in POLICIES:
-            for n in ns:
+            for n in classes | {0, 1, 2}:
                 want = ZPoly(brute_index(ch, deg, c, n, policy))
                 assert index_function(d, c, n, policy).terms == want.terms, (c, n)
+            got = {n: P.terms for n, P in index_polys(d, c, policy).items()}
+            assert got == {n: ZPoly(brute_index(ch, deg, c, n, policy)).terms
+                           for n in classes}, c
             got = crossing_change_delta(d, c, policy)
             want = brute_delta(ch, deg, c, policy)
+            assert got.exp_terms == want.exp_terms and got.const_terms == want.const_terms
+    for policy in POLICIES:
+        for include_n0 in (False, True):
+            got = compute_H(d, policy, include_n0)
+            want = brute_H(ch, deg, policy, include_n0)
             assert got.exp_terms == want.exp_terms and got.const_terms == want.const_terms
 
 

@@ -72,6 +72,15 @@ def test_compute_rejects_missing_file(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_compute_rejects_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.gko"
+    path.write_bytes(b"a: O1+ U1+\n# caf\xe9\n")
+    rc, out, err = run(capsys, "compute", "--file", str(path))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: %s is not UTF-8 text" % path)
+    assert len(err.splitlines()) == 1
+
+
 def test_compare_equal_and_distinct(capsys):
     rc, out, _ = run(capsys, "compare", CODE, CODE)
     assert rc == 0 and out.strip() == "equal"
@@ -181,8 +190,9 @@ PLANTED = [
     ("reverse_identity", "reverse", lambda d: d),
     ("mirror_identity", "mirror", lambda d: d),
     ("order_one", "singular_H", _first_resolution_H),
-    # a 1-singular kink, whose singular H is 0
-    ("order_one", "_witness", lambda: parse_gauss_code("O1* U1*")),
+    # the witness swapped for a 1-singular kink, whose singular H is 0
+    ("order_one", "bundled_diagrams",
+     lambda: {"singular_witness": parse_gauss_code("O1* U1*")}),
     ("crossing_change_delta", "crossing_change_delta",
      lambda d, cid, policy: Invariant(policy)),
     ("nested_zero_height", "random_nested_diagram", random_diagram),

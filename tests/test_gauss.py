@@ -133,6 +133,9 @@ def test_bundled_diagrams():
     assert fixtures["trivial"].k == 0
     assert fixtures["5.1.28_inverse"] == reverse(fixtures["5.1.28"])
     assert fixtures["singular_witness"].singular_ids() == (2,)
+    fixtures.clear()  # each call returns its own dict over one parse
+    again = bundled_diagrams()
+    assert len(again) == 5 and again["2_2"] is bundled_diagrams()["2_2"]
 
 
 def test_diagram_is_hashable_and_frozen():

@@ -22,6 +22,7 @@ from knotoidh.invariant import (
     crossing_partition,
     degree,
     index_function,
+    index_polys,
     invariant_equal,
     invariant_from_json,
     invariant_neg,
@@ -206,6 +207,8 @@ def test_degree_is_undefined_exactly_where_a_singular_chord_crosses():
     for policy in (QUOT, LIT):
         with pytest.raises(GaussCodeError, match=msg):
             index_function(w, 1, 1, policy)
+        with pytest.raises(GaussCodeError, match=msg):  # chord 3 crosses chord 4
+            index_polys(w, 3, policy)
 
 
 def test_policy_mismatch_raises():

@@ -1,6 +1,7 @@
 """Reidemeister move generators, detection, inversion, and walk invariance."""
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -200,9 +201,21 @@ def test_move_params_that_are_not_a_dict_raise_move_error(params):
 
 
 def test_move_spec_is_frozen():
-    spec = MoveSpec("r1_delete", {"cid": 1})
+    params = {"cid": 1}
+    spec = MoveSpec("r1_delete", params)
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.kind = "r1_insert"
+    with pytest.raises(TypeError):
+        spec.params["cid"] = 2
+    params["cid"] = 2
+    assert spec.params["cid"] == 1
+    assert spec == MoveSpec("r1_delete", {"cid": 1})
+    assert hash(spec) == hash(MoveSpec("r1_delete", {"cid": 1}))
+    assert len({spec, MoveSpec("r1_delete", {"cid": 1}), MoveSpec("r1_delete", {"cid": 2})}) == 2
+    r3 = {"variant": "3a", "bases": [1, 3, 5], "roles": [4, 2, 3]}
+    spec = MoveSpec("r3", r3)
+    assert spec.params["bases"] == (1, 3, 5) and hash(spec) == hash(MoveSpec("r3", r3))
+    assert format_trace([spec]) == json.dumps({"move": "r3", "params": r3})
 
 
 @pytest.mark.parametrize("kind, params, missing", [
@@ -230,6 +243,8 @@ def test_parse_trace_rejects_malformed_lines_with_line_number():
             parse_trace(good + "\n\n" + bad)
     with pytest.raises(MoveError, match="^line 2: Expecting property name"):
         parse_trace('{"move": "r3", "params": {}}\n{oops')
+    with pytest.raises(MoveError, match="^line 2: param 'cid' must be an integer"):
+        parse_trace(good + '\n{"move": "r1_delete", "params": {"cid": "1"}}')
 
 
 @pytest.mark.parametrize("kind, params, name", [
@@ -245,6 +260,11 @@ def test_parse_trace_rejects_malformed_lines_with_line_number():
     ("r3", {"variant": ["3a"], "bases": [1, 3, 5], "roles": [1, 2, 3]}, "variant"),
     ("r1_insert", {"gap": 0, "direction": 1}, "direction"),
     ("r2_insert", {"gap_a": 0, "gap_b": 2, "assignment": None}, "assignment"),
+    ("r2_insert", {"gap_a": 0, "gap_b": 2, "cids": [4]}, "cids"),
+    ("r2_insert", {"gap_a": 0, "gap_b": 2, "cids": []}, "cids"),
+    ("r3", {"variant": "3a", "bases": [1, 3], "roles": [1, 2, 3]}, "bases"),
+    ("r3", {"variant": "3a", "bases": [1, 3, 5], "roles": [1, 2, 3, 4]}, "roles"),
+    ("r1_insert", {"gap": 0, "gapp": [1]}, "gapp"),
 ])
 def test_wrongly_typed_move_params_raise_move_error(kind, params, name):
     d = random_diagram(3, 0)
