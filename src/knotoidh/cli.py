@@ -23,6 +23,7 @@ from .gordian import (NotHomotopyForm, crossing_change_delta, decompose,
                       decomposition_json)
 from .invariant import (Invariant, compute_H, invariant_neg, invariant_sub,
                         render, subst_t_inverse, subst_z_inverse)
+from . import moves
 from .moves import format_trace, random_walk
 from .singular import random_singular_diagram, singular_H
 from .zpoly import ReductionPolicy
@@ -131,9 +132,30 @@ def _nested_zero_height(rng, max_chords, policy):
         return serialize(d)
 
 
+def _gordian_bound(rng, max_chords, policy):
+    k = rng.randint(2, max_chords)
+    d = random_diagram(k, rng.randrange(2 ** 31))
+    changes = sorted(rng.sample(range(1, k + 1), rng.randint(0, k)))
+    changed = d
+    for cid in changes:
+        changed = crossing_change(changed, cid)
+    # the walk only makes a second diagram of the knotoid; it is read from
+    # `moves` so that this module's `random_walk`, the subject of the
+    # move_invariance row, can be replaced without touching this row
+    seed, trace = rng.randrange(2 ** 31), []
+    walked = moves.random_walk(changed, 4, seed, trace=trace)
+    try:
+        bound = decompose(compute_H(d, policy) - compute_H(walked, policy)).bound
+    except NotHomotopyForm:
+        bound = None
+    if bound is None or bound > len(changes):
+        return "%s @%s\nseed %d\n%s" % (serialize(d), ",".join(map(str, changes)),
+                                         seed, format_trace(trace))
+
+
 # (name, check, fatal_under_literal): check(rng, max_chords, policy) draws
 # one sample and returns a replayable failure example or None.  Literal
-# exponents are not move invariant, so that row only reports.
+# exponents are not move invariant, so the rows with a walk only report.
 PROPERTIES = (
     ("move_invariance", _move_invariance, False),
     ("reverse_identity", _reverse_identity, True),
@@ -141,6 +163,7 @@ PROPERTIES = (
     ("order_one", _order_one, True),
     ("crossing_change_delta", _crossing_change_delta, True),
     ("nested_zero_height", _nested_zero_height, True),
+    ("gordian_bound", _gordian_bound, False),
 )
 
 

@@ -6,17 +6,22 @@ new chords are parallel with opposite signs, and the two R3 patterns on
 three pairwise-crossing chords (variants `3a` and `3a_prime`).  Every
 apply returns a new diagram; every applied move is describable as a
 JSON-able MoveSpec so walks can be traced and replayed.
+
+Each kind is written once, in `_MOVES`: its param schema (checked when a
+MoveSpec is built and on direct calls), apply, inverse and site
+enumerator, which `apply_move`, `inverse_spec` and `random_walk` read.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .gauss import Event, GaussDiagram
+from .gauss import Event, GaussCodeError, GaussDiagram
 
 __all__ = [
     "MoveError",
@@ -50,40 +55,49 @@ MOVE_KINDS = ("r1_insert", "r1_delete", "r2_insert", "r2_delete", "r3")
 
 
 class MoveError(ValueError):
-    """Raised when a move's pattern precondition fails."""
+    """Raised when a move's params or its pattern precondition fail."""
 
 
-_INT_PARAMS = ("gap", "sign", "cid", "gap_a", "gap_b", "id1", "id2")
-_INT_LIST_PARAMS = {"cids": 2, "bases": 3, "roles": 3}  # name -> length
-_STR_PARAMS = ("direction", "assignment", "variant")
-_PARAM_NAMES = frozenset(_INT_PARAMS + tuple(_INT_LIST_PARAMS) + _STR_PARAMS)
+def _check(name, value, want):
+    """A param value of type `want`: int, a list length, or the allowed values."""
+    if want is int:
+        ok, what = type(value) is int, "an integer"
+    elif type(want) is int:
+        ok = (isinstance(value, (list, tuple)) and len(value) == want
+              and all(type(v) is int for v in value))
+        what = "a list of %d integers" % want
+    else:
+        ok = any(type(value) is type(a) and value == a for a in want)
+        what = "one of %s" % ", ".join(map(repr, want))
+    if not ok:
+        raise MoveError("param %r must be %s, got %r" % (name, what, value))
+    return tuple(value) if type(want) is int else value
 
 
-class _Params(dict):
-    """Checked move params, list values as tuples; a missing one raises MoveError."""
+def _checked(kind, params) -> dict:
+    """Params checked against kind's schema, in their given order, lists as tuples."""
+    move = _MOVES.get(kind) if isinstance(kind, str) else None
+    if move is None:
+        raise MoveError("unknown move kind %r" % (kind,))
+    if not isinstance(params, Mapping):
+        raise MoveError("move params must be a dict, got %r" % (params,))
+    out = {}
+    for name, value in params.items():
+        if name not in move.schema:
+            raise MoveError("param %r must be one of the %s params %s, got %r"
+                            % (name, kind, ", ".join(move.schema), value))
+        out[name] = _check(name, value, move.schema[name][0])
+    for name, (_, default) in move.schema.items():
+        if default is ... and name not in out:
+            raise MoveError("move is missing param %r" % name)
+    return out
 
-    def __init__(self, params):
-        if not isinstance(params, Mapping):
-            raise MoveError("move params must be a dict, got %r" % (params,))
-        super().__init__(params)
-        for name, value in self.items():
-            if name not in _PARAM_NAMES:
-                raise MoveError("param %r must be one of the move params, got %r"
-                                % (name, value))
-            if name in _INT_PARAMS and type(value) is not int:
-                raise MoveError("param %r must be an integer, got %r" % (name, value))
-            if name in _INT_LIST_PARAMS:
-                size = _INT_LIST_PARAMS[name]
-                if not (isinstance(value, (list, tuple)) and len(value) == size
-                        and all(type(v) is int for v in value)):
-                    raise MoveError("param %r must be a list of %d integers, got %r"
-                                    % (name, size, value))
-                self[name] = tuple(value)
-            if name in _STR_PARAMS and not isinstance(value, str):
-                raise MoveError("param %r must be a string, got %r" % (name, value))
 
-    def __missing__(self, name):
-        raise MoveError("move is missing param %r" % name)
+def _check_call(kind, **args) -> dict:
+    """Check a direct call's arguments; None stands for a default of None."""
+    schema = _MOVES[kind].schema
+    return _checked(kind, {name: value for name, value in args.items()
+                           if value is not None or schema[name][1] is not None})
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,7 @@ class MoveSpec:
     params: Mapping
 
     def __post_init__(self):
-        object.__setattr__(self, "params", MappingProxyType(_Params(self.params)))
+        object.__setattr__(self, "params", MappingProxyType(_checked(self.kind, self.params)))
 
     def __hash__(self):
         return hash((self.kind, frozenset(self.params.items())))
@@ -125,6 +139,16 @@ _R3_LAYOUTS = {
 _R3_SIGNS = {"3a": {1: 1, 2: -1, 3: 1}, "3a_prime": {1: 1, 2: 1, 3: -1}}
 
 
+def _r3_matches(events, variant, bases, roles, sides) -> bool:
+    """Whether the six events at bases show one of the variant's sides."""
+    p, q, r = bases
+    actual = tuple(events[i - 1] for i in (p, p + 1, q, q + 1, r, r + 1))
+    signs = _R3_SIGNS[variant]
+    return any(actual == tuple(Event(roles[role - 1], kind, signs[role])
+                               for role, kind in _R3_LAYOUTS[variant, side])
+               for side in sides)
+
+
 def _shift_ids(events, new_ids):
     """Relabel existing chords so ids in new_ids are free, order kept."""
     out = []
@@ -153,14 +177,19 @@ def _check_gap(d, gap):
         raise MoveError("gap %d out of range 0..%d" % (gap, 2 * d.k))
 
 
+def _chord(d, name, cid):
+    try:
+        return d.chord(cid)
+    except GaussCodeError:
+        raise MoveError("param %r must be a chord id in 1..%d, got %d"
+                        % (name, d.k, cid)) from None
+
+
 def r1_insert(d: GaussDiagram, gap: int, direction: str = FORWARD,
               sign: int = 1, cid: int = None) -> GaussDiagram:
     """Add an isolated kink chord at the gap (0 = before everything)."""
+    _check_call("r1_insert", gap=gap, direction=direction, sign=sign, cid=cid)
     _check_gap(d, gap)
-    if direction not in (FORWARD, BACKWARD):
-        raise MoveError("direction must be %r or %r" % (FORWARD, BACKWARD))
-    if sign not in (1, -1):
-        raise MoveError("sign must be +1 or -1")
     if cid is None:
         cid = d.k + 1
     if not 1 <= cid <= d.k + 1:
@@ -173,7 +202,8 @@ def r1_insert(d: GaussDiagram, gap: int, direction: str = FORWARD,
 
 def r1_delete(d: GaussDiagram, cid: int) -> GaussDiagram:
     """Remove a kink: the chord's endpoints must be adjacent."""
-    view = d.chord(cid)
+    _check_call("r1_delete", cid=cid)
+    view = _chord(d, "cid", cid)
     if abs(view.over_pos - view.under_pos) != 1:
         raise MoveError("chord %d is not a kink (endpoints not adjacent)" % cid)
     return GaussDiagram(tuple(_drop_ids(d.events, (cid,))))
@@ -187,14 +217,12 @@ def r2_insert(d: GaussDiagram, gap_a: int, gap_b: int,
     Under endpoints at gap_b; the first chord is the one whose endpoints
     come first, and `assignment` sets its sign.
     """
+    cids = _check_call("r2_insert", gap_a=gap_a, gap_b=gap_b, assignment=assignment,
+                       cids=cids).get("cids", (d.k + 1, d.k + 2))
     _check_gap(d, gap_a)
     _check_gap(d, gap_b)
     if gap_a >= gap_b:
         raise MoveError("gap_a must be strictly less than gap_b")
-    if assignment not in (FIRST_POSITIVE, FIRST_NEGATIVE):
-        raise MoveError("assignment must be %r or %r" % (FIRST_POSITIVE, FIRST_NEGATIVE))
-    if cids is None:
-        cids = (d.k + 1, d.k + 2)
     ca, cb = cids
     if ca == cb or not (1 <= ca <= d.k + 2 and 1 <= cb <= d.k + 2):
         raise MoveError("cids %r invalid for a %d-chord diagram" % (cids, d.k))
@@ -209,7 +237,7 @@ def r2_insert(d: GaussDiagram, gap_a: int, gap_b: int,
 
 def _r2_pattern(d: GaussDiagram, id1: int, id2: int):
     """Return (first, second) chord views if the pair matches the poke image."""
-    va, vb = d.chord(id1), d.chord(id2)
+    va, vb = _chord(d, "id1", id1), _chord(d, "id2", id2)
     if va.over_pos > vb.over_pos:
         va, vb = vb, va
     ok = (vb.over_pos == va.over_pos + 1
@@ -219,11 +247,18 @@ def _r2_pattern(d: GaussDiagram, id1: int, id2: int):
     return (va, vb) if ok else None
 
 
-def r2_delete(d: GaussDiagram, id1: int, id2: int) -> GaussDiagram:
-    """Remove a poke pair; the exact r2_insert image is required."""
+def _poke(d, id1, id2):
+    """The pair's (first, second) chord views; MoveError unless it is a poke."""
     pat = _r2_pattern(d, id1, id2)
     if pat is None:
         raise MoveError("chords %d,%d do not form a poke pair" % (id1, id2))
+    return pat
+
+
+def r2_delete(d: GaussDiagram, id1: int, id2: int) -> GaussDiagram:
+    """Remove a poke pair; the exact r2_insert image is required."""
+    _check_call("r2_delete", id1=id1, id2=id2)
+    _poke(d, id1, id2)
     return GaussDiagram(tuple(_drop_ids(d.events, (id1, id2))))
 
 
@@ -252,24 +287,16 @@ def detect_r3(d: GaussDiagram) -> list:
         ea, eb = events[p - 1], events[p]
         if ea.kind != "U" or eb.kind != "U" or ea.chord == eb.chord:
             continue
-        u, v = ea.chord, eb.chord
-        q = views[u].over_pos - 1
-        r = views[v].over_pos
+        q = views[ea.chord].over_pos - 1
+        r = views[eb.chord].over_pos
         if not (p + 1 < q and q + 1 < r and r + 1 <= top):
             continue
-        e_q, e_r1 = events[q - 1], events[r]
-        if e_q.chord != e_r1.chord:
+        if events[q - 1].chord != events[r].chord:  # role c1 at q and r+1
             continue
-        w = e_q.chord
+        roles = (events[q - 1].chord, eb.chord, ea.chord)
         for variant in ("3a", "3a_prime"):
-            signs = _R3_SIGNS[variant]
-            if (views[u].sign, views[v].sign, views[w].sign) != (
-                    signs[3], signs[2], signs[1]):
-                continue
-            want_b1 = "U" if variant == "3a" else "O"
-            want_c2 = "O" if variant == "3a" else "U"
-            if e_q.kind == want_b1 and e_r1.kind == want_c2:
-                out.append(R3Config(variant, (p, q, r), (w, v, u)))
+            if _r3_matches(events, variant, (p, q, r), roles, (True,)):
+                out.append(R3Config(variant, (p, q, r), roles))
     return out
 
 
@@ -279,28 +306,12 @@ def r3_apply(d: GaussDiagram, config: R3Config) -> GaussDiagram:
     The config is revalidated against both sides of its variant, so
     applying the same config twice returns the original diagram.
     """
-    p, q, r = config.bases
-    top = 2 * d.k
-    if not (1 <= p and p + 1 < q and q + 1 < r and r + 1 <= top):
+    prm = _check_call("r3", variant=config.variant, bases=config.bases,
+                      roles=config.roles)
+    p, q, r = prm["bases"]
+    if not (1 <= p and p + 1 < q and q + 1 < r and r + 1 <= 2 * d.k):
         raise MoveError("stale R3 configuration: bases %r out of range" % (config.bases,))
-    roles = config.roles
-    if len(set(roles)) != 3:
-        raise MoveError("R3 roles must be three distinct chords")
-    positions = (p, p + 1, q, q + 1, r, r + 1)
-    actual = tuple(d.events[i - 1] for i in positions)
-    views = d.chords()
-    signs = _R3_SIGNS.get(config.variant)
-    if signs is None:
-        raise MoveError("unknown R3 variant %r" % config.variant)
-    for role, cid in enumerate(roles, start=1):
-        if cid not in views or views[cid].sign != signs[role]:
-            raise MoveError("stale R3 configuration: role c%d sign mismatch" % role)
-    for side in (True, False):
-        layout = _R3_LAYOUTS[(config.variant, side)]
-        if actual == tuple(Event(roles[role - 1], kind, signs[role])
-                           for role, kind in layout):
-            break
-    else:
+    if not _r3_matches(d.events, config.variant, (p, q, r), prm["roles"], (True, False)):
         raise MoveError("stale R3 configuration: events do not match %r" % config.variant)
     ev = list(d.events)
     for base in (p, q, r):
@@ -308,61 +319,91 @@ def r3_apply(d: GaussDiagram, config: R3Config) -> GaussDiagram:
     return GaussDiagram(tuple(ev))
 
 
+def _r1_delete_inverse(d, prm):
+    view = _chord(d, "cid", prm["cid"])
+    return MoveSpec("r1_insert", {
+        "gap": min(view.over_pos, view.under_pos) - 1,
+        "direction": FORWARD if view.over_pos < view.under_pos else BACKWARD,
+        "sign": view.sign, "cid": prm["cid"]})
+
+
+def _r2_delete_inverse(d, prm):
+    first, second = _poke(d, prm["id1"], prm["id2"])
+    return MoveSpec("r2_insert", {
+        "gap_a": first.over_pos - 1, "gap_b": first.under_pos - 3,
+        "assignment": FIRST_POSITIVE if first.sign == 1 else FIRST_NEGATIVE,
+        "cids": (first.id, second.id)})
+
+
+def _r2_insert_sites(d):
+    """Lexicographic gap_a < gap_b, then both assignments; picked lazily."""
+    gaps = 2 * d.k + 1
+
+    def pick(i):
+        i, which = divmod(i, 2)
+        a = 0
+        while i >= gaps - a - 1:
+            i -= gaps - a - 1
+            a += 1
+        return {"gap_a": a, "gap_b": a + 1 + i,
+                "assignment": (FIRST_POSITIVE, FIRST_NEGATIVE)[which]}
+    return gaps * (gaps - 1), pick
+
+
+def _listed(find, params):
+    """A site enumerator over the list find(d), each site named by params(site)."""
+    def sites(d):
+        found = find(d)
+        return len(found), lambda i: params(found[i])
+    return sites
+
+
+# One entry per kind.  schema: name -> (type for _check, default, or ...
+# when required); apply(d, **params) -> diagram; inverse(d, params) -> the
+# MoveSpec undoing the move on d; sites(d) -> (count, i -> params).
+_Move = namedtuple("_Move", "schema apply inverse sites")
+_MOVES = {
+    "r1_insert": _Move(
+        {"gap": (int, ...), "direction": ((FORWARD, BACKWARD), FORWARD),
+         "sign": ((1, -1), 1), "cid": (int, None)},
+        r1_insert,
+        lambda d, prm: MoveSpec("r1_delete", {"cid": prm.get("cid", d.k + 1)}),
+        lambda d: (4 * (2 * d.k + 1), lambda i: {"gap": i // 4,
+                                                 "direction": (FORWARD, BACKWARD)[i % 4 // 2],
+                                                 "sign": (1, -1)[i % 2]})),
+    "r1_delete": _Move(
+        {"cid": (int, ...)}, r1_delete, _r1_delete_inverse,
+        _listed(lambda d: [v.id for v in d.chords().values()
+                           if abs(v.over_pos - v.under_pos) == 1],
+                lambda cid: {"cid": cid})),
+    "r2_insert": _Move(
+        {"gap_a": (int, ...), "gap_b": (int, ...),
+         "assignment": ((FIRST_POSITIVE, FIRST_NEGATIVE), FIRST_POSITIVE),
+         "cids": (2, None)},
+        r2_insert,
+        lambda d, prm: MoveSpec("r2_delete", dict(zip(
+            ("id1", "id2"), prm.get("cids", (d.k + 1, d.k + 2))))),
+        _r2_insert_sites),
+    "r2_delete": _Move(
+        {"id1": (int, ...), "id2": (int, ...)}, r2_delete, _r2_delete_inverse,
+        _listed(detect_r2, lambda pair: dict(zip(("id1", "id2"), pair)))),
+    "r3": _Move(
+        {"variant": (("3a", "3a_prime"), ...), "bases": (3, ...),
+         "roles": (3, ...)},
+        lambda d, **prm: r3_apply(d, R3Config(**prm)),
+        lambda d, prm: MoveSpec("r3", prm),
+        _listed(detect_r3, lambda c: {"variant": c.variant, "bases": c.bases,
+                                      "roles": c.roles})),
+}
+
+
 def apply_move(d: GaussDiagram, spec: MoveSpec) -> GaussDiagram:
-    kind, prm = spec.kind, spec.params
-    if kind == "r1_insert":
-        return r1_insert(d, prm["gap"], prm.get("direction", FORWARD),
-                         prm.get("sign", 1), prm.get("cid"))
-    if kind == "r1_delete":
-        return r1_delete(d, prm["cid"])
-    if kind == "r2_insert":
-        return r2_insert(d, prm["gap_a"], prm["gap_b"],
-                         prm.get("assignment", FIRST_POSITIVE), prm.get("cids"))
-    if kind == "r2_delete":
-        return r2_delete(d, prm["id1"], prm["id2"])
-    if kind == "r3":
-        return r3_apply(d, R3Config(prm["variant"], prm["bases"], prm["roles"]))
-    raise MoveError("unknown move kind %r" % kind)
+    return _MOVES[spec.kind].apply(d, **spec.params)
 
 
 def inverse_spec(d: GaussDiagram, spec: MoveSpec) -> MoveSpec:
     """The move undoing `spec`, where `spec` has not yet been applied to d."""
-    kind, prm = spec.kind, spec.params
-    if kind == "r1_insert":
-        return MoveSpec("r1_delete", {"cid": prm.get("cid") or d.k + 1})
-    if kind == "r1_delete":
-        view = d.chord(prm["cid"])
-        first = min(view.over_pos, view.under_pos)
-        direction = FORWARD if view.over_pos < view.under_pos else BACKWARD
-        return MoveSpec("r1_insert", {"gap": first - 1, "direction": direction,
-                                      "sign": view.sign, "cid": prm["cid"]})
-    if kind == "r2_insert":
-        cids = prm.get("cids") or (d.k + 1, d.k + 2)
-        return MoveSpec("r2_delete", {"id1": cids[0], "id2": cids[1]})
-    if kind == "r2_delete":
-        pat = _r2_pattern(d, prm["id1"], prm["id2"])
-        if pat is None:
-            raise MoveError("chords %d,%d do not form a poke pair"
-                            % (prm["id1"], prm["id2"]))
-        first, second = pat
-        assignment = FIRST_POSITIVE if first.sign == 1 else FIRST_NEGATIVE
-        return MoveSpec("r2_insert", {"gap_a": first.over_pos - 1,
-                                      "gap_b": first.under_pos - 3,
-                                      "assignment": assignment,
-                                      "cids": (first.id, second.id)})
-    if kind == "r3":
-        return spec
-    raise MoveError("unknown move kind %r" % kind)
-
-
-def _decode_pair_index(i, gaps):
-    # lexicographic (gap_a, gap_b) with gap_a < gap_b over `gaps` values
-    for a in range(gaps):
-        block = gaps - a - 1
-        if i < block:
-            return a, a + 1 + i
-        i -= block
-    raise IndexError
+    return _MOVES[spec.kind].inverse(d, spec.params)
 
 
 def random_walk(d: GaussDiagram, steps: int, seed: int,
@@ -373,65 +414,22 @@ def random_walk(d: GaussDiagram, steps: int, seed: int,
     contribute nothing to the draw.  Applied MoveSpecs are appended to
     `trace` when given.
     """
-    if allowed is None:
-        allowed = MOVE_KINDS
-    allowed = frozenset(allowed)
-    unknown = allowed - set(MOVE_KINDS)
-    if unknown:
-        raise MoveError("unknown move kinds %s" % sorted(unknown))
+    allowed = set(MOVE_KINDS if allowed is None else allowed)
+    if not allowed <= set(MOVE_KINDS):
+        raise MoveError("unknown move kinds %s" % sorted(allowed - set(MOVE_KINDS)))
+    kinds = [kind for kind in MOVE_KINDS if kind in allowed]
     rng = random.Random(seed)
     for _ in range(steps):
-        gaps = 2 * d.k + 1
-        counts = []
-        kink_ids = pokes = configs = None
-        for kind in MOVE_KINDS:
-            if kind not in allowed:
-                counts.append(0)
-            elif kind == "r1_insert":
-                counts.append(gaps * 4)
-            elif kind == "r1_delete":
-                kink_ids = [v.id for v in d.chords().values()
-                            if abs(v.over_pos - v.under_pos) == 1]
-                kink_ids.sort()
-                counts.append(len(kink_ids))
-            elif kind == "r2_insert":
-                counts.append(gaps * (gaps - 1))  # ordered pairs / 2 * 2 signs
-            elif kind == "r2_delete":
-                pokes = detect_r2(d)
-                counts.append(len(pokes))
-            else:
-                configs = detect_r3(d)
-                counts.append(len(configs))
-        total = sum(counts)
+        sites = [(kind, *_MOVES[kind].sites(d)) for kind in kinds]
+        total = sum(count for _, count, _ in sites)
         if total == 0:
             continue
         i = rng.randrange(total)
-        for kind, count in zip(MOVE_KINDS, counts):
+        for kind, count, pick in sites:
             if i < count:
                 break
             i -= count
-        if kind == "r1_insert":
-            gap, rem = divmod(i, 4)
-            spec = MoveSpec("r1_insert", {
-                "gap": gap,
-                "direction": FORWARD if rem < 2 else BACKWARD,
-                "sign": 1 if rem % 2 == 0 else -1})
-        elif kind == "r1_delete":
-            spec = MoveSpec("r1_delete", {"cid": kink_ids[i]})
-        elif kind == "r2_insert":
-            pair_i, which = divmod(i, 2)
-            a, b = _decode_pair_index(pair_i, gaps)
-            spec = MoveSpec("r2_insert", {
-                "gap_a": a, "gap_b": b,
-                "assignment": FIRST_POSITIVE if which == 0 else FIRST_NEGATIVE})
-        elif kind == "r2_delete":
-            id1, id2 = pokes[i]
-            spec = MoveSpec("r2_delete", {"id1": id1, "id2": id2})
-        else:
-            cfg = configs[i]
-            spec = MoveSpec("r3", {"variant": cfg.variant,
-                                   "bases": list(cfg.bases),
-                                   "roles": list(cfg.roles)})
+        spec = MoveSpec(kind, pick(i))
         d = apply_move(d, spec)
         if trace is not None:
             trace.append(spec)

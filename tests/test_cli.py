@@ -1,5 +1,6 @@
 """Exit codes and output shapes of the command line entry point."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from knotoidh import cli
 from knotoidh.cli import main, run_selftest
 from knotoidh.gauss import (crossing_change, mirror, parse_gauss_code,
                             random_diagram, serialize)
+from knotoidh.gordian import decompose
 from knotoidh.invariant import Invariant, compute_H
 from knotoidh.moves import apply_move, parse_trace, random_walk
 from knotoidh.singular import resolutions
@@ -142,7 +144,8 @@ def test_selftest(capsys):
     assert rc == 0 and report["ok"] is True
     names = {p["name"] for p in report["properties"]}
     assert names == {"move_invariance", "reverse_identity", "mirror_identity",
-                     "order_one", "crossing_change_delta", "nested_zero_height"}
+                     "order_one", "crossing_change_delta", "nested_zero_height",
+                     "gordian_bound"}
 
 
 def test_selftest_rows():
@@ -154,8 +157,10 @@ def test_selftest_rows():
                                         ("mirror_identity", True),
                                         ("order_one", True),
                                         ("crossing_change_delta", True),
-                                        ("nested_zero_height", True)]
+                                        ("nested_zero_height", True),
+                                        ("gordian_bound", False)]
                     for policy in ("quotient", "literal")]
+    assert len(rows) == 14
     assert all(set(p) == {"name", "policy", "samples", "failures", "fatal",
                           "examples"} and p["samples"] == 2
                for p in report["properties"])
@@ -183,6 +188,13 @@ def _first_resolution_H(d, policy):
     return compute_H(d, policy)
 
 
+def _double_count(delta):
+    """decompose counting 2|a| for each pair."""
+    dec = decompose(delta)
+    return dataclasses.replace(dec, bound=2 * dec.bound,
+                               bound_per_n={n: 2 * b for n, b in dec.bound_per_n.items()})
+
+
 # One planted fault per row: each breaks exactly that row's guarantee.
 PLANTED = [
     ("move_invariance", "random_walk",
@@ -196,6 +208,7 @@ PLANTED = [
     ("crossing_change_delta", "crossing_change_delta",
      lambda d, cid, policy: Invariant(policy)),
     ("nested_zero_height", "random_nested_diagram", random_diagram),
+    ("gordian_bound", "decompose", _double_count),
 ]
 
 

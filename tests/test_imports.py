@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is used."""
+"""Every imported name in the package and its tests is used, and so is
+every private top-level name of the package."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,40 @@ def test_scan_flags_an_unused_import():
     source = ("from __future__ import annotations\n"
               "import os, sys\nfrom a import b as c\nsys.exit()\n")
     assert unused_imports(source) == [(2, "os"), (3, "c")]
+
+
+def dead_private_names(sources: dict) -> list:
+    """(module, name) for private top-level names that no module reads."""
+    defined, used = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined.update((module, name) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return sorted((module, name) for module, name in defined if name not in used)
+
+
+def test_no_dead_private_helpers():
+    package = {p.name: p.read_text() for p in ROOT.glob("src/knotoidh/*.py")}
+    assert dead_private_names(package) == []
+
+
+def test_scan_flags_a_dead_helper():
+    sources = {"a.py": ("_A = 1\n_B: int = 2\n__all__ = []\n"
+                        "def _f(): return _A\nclass _C: pass\ndef g(): pass\n"),
+               "b.py": "from a import _C\n_D = 0\n_D = 1\n"}
+    assert dead_private_names(sources) == [("a.py", "_B"), ("a.py", "_f"), ("b.py", "_D")]

@@ -1,6 +1,7 @@
 """Reidemeister move generators, detection, inversion, and walk invariance."""
 
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -15,6 +16,7 @@ from knotoidh.moves import (
     FIRST_POSITIVE,
     FORWARD,
     MoveError,
+    MOVE_KINDS,
     MoveSpec,
     R3Config,
     apply_move,
@@ -178,6 +180,26 @@ def test_trace_survives_json(k, seed):
     assert replayed == w
 
 
+WALK_PIN = "766c84d4548815a02f0595cb91d755b11510508a8f18328936bf93621b35a59f"
+
+
+def test_seeded_walk_bytes_are_pinned():
+    # random diagrams rarely hold an R3 site, so the cores add some
+    starts = [random_diagram(k, seed) for k in range(1, 13) for seed in range(5)]
+    starts += [spectatored(core, seed) for core in (CORE_3A, CORE_3A_PRIME)
+               for seed in range(10)]
+    digest = hashlib.sha256()
+    kinds = set()
+    for allowed in (None, ("r1_delete", "r2_delete", "r3")):
+        for i, d in enumerate(starts):
+            trace = []
+            w = random_walk(d, 8, 7919 * i + 1, allowed, trace)
+            digest.update(("%s\n%s\n\n" % (serialize(w), format_trace(trace))).encode())
+            kinds.update(s.kind for s in trace)
+    assert kinds == set(MOVE_KINDS)
+    assert digest.hexdigest() == WALK_PIN
+
+
 def test_walk_respects_allowed_kinds():
     d = random_diagram(4, 9)
     trace = []
@@ -241,7 +263,10 @@ def test_parse_trace_rejects_malformed_lines_with_line_number():
                 '{"move": "r3", "params": [1]}'):
         with pytest.raises(MoveError, match="line 3: expected"):
             parse_trace(good + "\n\n" + bad)
+    r3 = '{"move": "r3", "params": {"variant": "3a", "bases": [1, 3, 5], "roles": [1, 2, 3]}}'
     with pytest.raises(MoveError, match="^line 2: Expecting property name"):
+        parse_trace(r3 + '\n{oops')
+    with pytest.raises(MoveError, match="^line 1: move is missing param "):
         parse_trace('{"move": "r3", "params": {}}\n{oops')
     with pytest.raises(MoveError, match="^line 2: param 'cid' must be an integer"):
         parse_trace(good + '\n{"move": "r1_delete", "params": {"cid": "1"}}')
@@ -271,3 +296,42 @@ def test_wrongly_typed_move_params_raise_move_error(kind, params, name):
     for fn in (apply_move, inverse_spec):
         with pytest.raises(MoveError, match="^param '%s' must be" % name):
             fn(d, MoveSpec(kind, params))
+
+
+# direct calls check their arguments through the same schema as MoveSpec
+DIRECT_CALLS = [
+    ("r2_insert short cids", lambda d: r2_insert(d, 0, 2, cids=(4,)), "cids"),
+    ("r2_insert assignment", lambda d: r2_insert(d, 0, 2, "first"), "assignment"),
+    ("r3_apply short bases", lambda d: r3_apply(d, R3Config("3a", (1, 3), (1, 2, 3))), "bases"),
+    ("r3_apply variant", lambda d: r3_apply(d, R3Config("zz", (1, 3, 5), (1, 2, 3))), "variant"),
+    ("r1_insert bool cid", lambda d: r1_insert(d, 0, cid=True), "cid"),
+    ("r1_insert direction", lambda d: r1_insert(d, 0, "sideways"), "direction"),
+    ("r1_insert direction None", lambda d: r1_insert(d, 0, None), "direction"),
+    ("r1_insert sign", lambda d: r1_insert(d, 0, FORWARD, 0), "sign"),
+    ("r1_delete stale", lambda d: r1_delete(d, 99), "cid"),
+    ("r2_delete stale", lambda d: r2_delete(d, 99, 1), "id1"),
+    ("inverse r1_delete stale", lambda d: inverse_spec(d, MoveSpec("r1_delete", {"cid": 99})),
+     "cid"),
+    ("inverse r2_delete stale",
+     lambda d: inverse_spec(d, MoveSpec("r2_delete", {"id1": 1, "id2": 99})), "id2"),
+]
+
+
+@pytest.mark.parametrize("call, name", [c[1:] for c in DIRECT_CALLS],
+                         ids=[c[0] for c in DIRECT_CALLS])
+def test_direct_calls_with_bad_arguments_raise_move_error(call, name):
+    with pytest.raises(MoveError, match="^param '%s' must be" % name):
+        call(random_diagram(3, 0))
+
+
+@pytest.mark.parametrize("kind, params, message", [
+    ("nonsense", {}, "^unknown move kind 'nonsense'$"),
+    (["r3"], {}, r"^unknown move kind \['r3'\]$"),
+    ("r1_delete", {"cid": 1, "gap": 5}, "^param 'gap' must be one of the r1_delete params cid,"),
+    ("r1_delete", {"cid": 1, "variant": "x"}, "^param 'variant' must be one of the r1_delete "),
+    ("r3", {"variant": "3a", "roles": [1, 2, 3]}, "^move is missing param 'bases'$"),
+    ("r2_insert", {"gap_b": 2}, "^move is missing param 'gap_a'$"),
+])
+def test_move_spec_is_checked_at_construction(kind, params, message):
+    with pytest.raises(MoveError, match=message):
+        MoveSpec(kind, params)
