@@ -414,6 +414,9 @@ def random_walk(d: GaussDiagram, steps: int, seed: int,
     contribute nothing to the draw.  Applied MoveSpecs are appended to
     `trace` when given.
     """
+    if isinstance(allowed, str):
+        raise MoveError("allowed must be a collection of move kinds, not the string %r"
+                        % allowed)
     allowed = set(MOVE_KINDS if allowed is None else allowed)
     if not allowed <= set(MOVE_KINDS):
         raise MoveError("unknown move kinds %s" % sorted(allowed - set(MOVE_KINDS)))
@@ -454,6 +457,10 @@ def parse_trace(text: str) -> list:
         if not (isinstance(obj, dict) and "move" in obj
                 and isinstance(obj.get("params"), dict)):
             raise MoveError('line %d: expected {"move": kind, "params": {...}}' % lineno)
+        extra = sorted(obj.keys() - {"move", "params"})
+        if extra:
+            raise MoveError("line %d: unexpected key %r; a trace line holds only move and params"
+                            % (lineno, extra[0]))
         try:
             out.append(MoveSpec(obj["move"], obj["params"]))
         except MoveError as exc:

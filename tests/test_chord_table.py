@@ -6,13 +6,21 @@ definitions, the way `perfbench/oracle.py` does.  For a chord c running
 from o(c) to u(c), a chord e crosses c when exactly one endpoint of e
 lies strictly between them; e is in r(c) when that endpoint is e's Under
 endpoint and c runs forward, or e's Over endpoint and c runs backward.
+
+compute_H reads H either from crossing rows or from per-degree counts,
+whichever its cost rule picks; the tests below also run both paths on
+the same diagrams and pin H for criterion 10's diagram.
 """
 
+import hashlib
 import math
+import random
 
 import pytest
 
+from knotoidh import gauss, invariant
 from knotoidh.gauss import (
+    from_chord_positions,
     parse_gauss_code,
     random_diagram,
     random_nested_diagram,
@@ -27,11 +35,39 @@ from knotoidh.invariant import (
     degree,
     index_function,
     index_polys,
+    render,
 )
 from knotoidh.zpoly import ReductionPolicy, ZPoly
 
 POLICIES = list(ReductionPolicy)
 SIZES = (0, 1, 2, 3, 5, 8, 13, 21, 34, 60)
+
+
+def hub_diagram(k, seed):
+    """One hub chord crossed by all k - 1 others, which share one sign and one direction.
+
+    Every other chord runs from inside the hub's span to beyond it, so
+    |d(hub)| = k - 1; they cross each other pairwise or nest pairwise,
+    as the seed decides.
+    """
+    if k == 0:
+        return from_chord_positions([])
+    rng = random.Random(seed)
+    n = k - 1
+    sign, inward = rng.choice((1, -1)), rng.random() < 0.5
+    outside = list(range(n + 3, 2 * n + 3))
+    if rng.random() < 0.5:
+        outside.reverse()
+    hub = (1, n + 2) if rng.random() < 0.5 else (n + 2, 1)
+    chords = [(*hub, rng.choice((1, -1)))]
+    for inner, outer in zip(range(2, n + 2), outside):
+        chords.append((outer, inner, sign) if inward else (inner, outer, sign))
+    return from_chord_positions(chords)
+
+
+def first_histogram_size(make, seed):
+    """The least k at which compute_H picks the histogram kernel for make(k, seed)."""
+    return next(k for k in range(1, 400) if invariant._histogram_pays(make(k, seed)._table))
 
 
 def brute_chords(d):
@@ -120,11 +156,7 @@ def brute_delta(ch, deg, c, policy):
     return Invariant(policy, exp, const)
 
 
-@pytest.mark.parametrize("make", [random_diagram, random_nested_diagram])
-@pytest.mark.parametrize("k", SIZES)
-@pytest.mark.parametrize("seed", [0, 1])
-def test_table_matches_brute_force(make, k, seed):
-    d = make(k, 1000 * k + seed)
+def brute_check(d):
     ch = brute_chords(d)
     deg = {c: brute_degree(ch, c) for c in ch}
     for c in ch:
@@ -148,6 +180,82 @@ def test_table_matches_brute_force(make, k, seed):
             got = compute_H(d, policy, include_n0)
             want = brute_H(ch, deg, policy, include_n0)
             assert got.exp_terms == want.exp_terms and got.const_terms == want.const_terms
+
+
+@pytest.mark.parametrize("make", [random_diagram, random_nested_diagram, hub_diagram])
+@pytest.mark.parametrize("k", SIZES)
+@pytest.mark.parametrize("seed", [0, 1])
+def test_table_matches_brute_force(make, k, seed):
+    brute_check(make(k, 1000 * k + seed))
+
+
+# Hub seeds 0 and 2 nest the crossers; seed 1 lays them pairwise crossing, which
+# gives them k - 1 distinct degrees, so the rule keeps the rows there at every size.
+@pytest.mark.parametrize("make, seed", [(random_diagram, 0), (random_diagram, 1),
+                                        (random_diagram, 2), (hub_diagram, 0), (hub_diagram, 2)])
+def test_brute_force_on_both_sides_of_the_cost_rule(make, seed):
+    k = first_histogram_size(make, seed)
+    below, above = make(k - 1, seed), make(k, seed)
+    assert not invariant._histogram_pays(below._table)
+    assert invariant._histogram_pays(above._table)
+    brute_check(below)
+    brute_check(above)
+
+
+def both_paths(d, policy, include_n0):
+    """H from crossing rows and H from the histogram kernel, for the same diagram."""
+    return [Invariant.from_summands(policy, summands(d._table, policy, include_n0))
+            for summands in (invariant._row_summands, invariant._histogram_summands)]
+
+
+# Past 127 chords of one degree (nested diagrams, nested hubs) the kernel's
+# bitset fields widen from one byte to two.
+@pytest.mark.parametrize("make, sizes", [
+    (random_diagram, (0, 1, 2, 3, 4, 6, 9, 14, 25, 50, 90, 150)),
+    (random_nested_diagram, (1, 5, 30, 80, 127, 128, 200)),
+    (hub_diagram, (1, 2, 3, 7, 16, 40, 120, 140)),
+])
+def test_histogram_and_row_paths_agree(make, sizes):
+    for k in sizes:
+        for seed in range(3):
+            d = make(k, 7 * k + seed)
+            for policy in POLICIES:
+                for include_n0 in (False, True):
+                    rows, histogram = both_paths(d, policy, include_n0)
+                    assert rows.exp_terms == histogram.exp_terms, (k, seed)
+                    assert rows.const_terms == histogram.const_terms, (k, seed)
+                    assert render(rows, "json") == render(histogram, "json")
+
+
+# SHA-256 of render(compute_H(random_diagram(1000, 97), policy), "json"), recorded
+# with the crossing-row kernel before the histogram kernel replaced it there.
+CRITERION_10_PINS = {
+    ReductionPolicy.QUOTIENT: "c9f1550ce671377c523d1ac652930894850f6f9da502116bc7544294f7ab0b7c",
+    ReductionPolicy.LITERAL: "e6a3119bad03cc3794c8192b20227ce3cbafc92f4c368933bc7b711d501bf907",
+}
+
+
+def test_criterion_10_diagram_H_is_pinned():
+    d = random_diagram(1000, 97)
+    for policy, pin in CRITERION_10_PINS.items():
+        text = render(compute_H(d, policy), "json")
+        assert hashlib.sha256(text.encode()).hexdigest() == pin, policy
+
+
+def test_criterion_10_diagram_reads_no_crossing_row(monkeypatch):
+    calls = []
+
+    def counted(table, cid):
+        calls.append(cid)
+        return row(table, cid)
+
+    row = gauss._crossing_row
+    monkeypatch.setattr(gauss, "_crossing_row", counted)
+    monkeypatch.setattr(invariant, "_crossing_row", counted)
+    d = random_diagram(1000, 97)
+    h = compute_H(d)
+    assert not h.is_zero()
+    assert calls == []
 
 
 def test_cache_is_invisible_to_equality_hash_and_repr():

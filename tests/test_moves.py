@@ -209,6 +209,15 @@ def test_walk_respects_allowed_kinds():
         random_walk(d, 1, seed=0, allowed=("r9",))
 
 
+def test_walk_rejects_a_string_for_allowed():
+    d = random_diagram(3, 0)
+    for allowed in ("r3", ""):
+        with pytest.raises(MoveError, match="^allowed must be a collection of move kinds, "
+                                            "not the string "):
+            random_walk(d, 1, 0, allowed=allowed)
+    assert random_walk(d, 1, 0, allowed=["r3"]) == random_walk(d, 1, 0, allowed={"r3"})
+
+
 def test_apply_move_rejects_unknown_kind():
     with pytest.raises(MoveError, match="unknown"):
         apply_move(random_diagram(1, 0), MoveSpec("r4", {}))
@@ -270,6 +279,13 @@ def test_parse_trace_rejects_malformed_lines_with_line_number():
         parse_trace('{"move": "r3", "params": {}}\n{oops')
     with pytest.raises(MoveError, match="^line 2: param 'cid' must be an integer"):
         parse_trace(good + '\n{"move": "r1_delete", "params": {"cid": "1"}}')
+
+
+def test_parse_trace_rejects_keys_other_than_move_and_params():
+    good = '{"move": "r1_delete", "params": {"cid": 1}}'
+    for extra, key in (('"extra": [1]', "extra"), ('"Move": "r3", "z": 0', "Move")):
+        with pytest.raises(MoveError, match="^line 2: unexpected key '%s'" % key):
+            parse_trace(good + '\n{"move": "r1_delete", "params": {"cid": 1}, %s}' % extra)
 
 
 @pytest.mark.parametrize("kind, params, name", [
