@@ -26,14 +26,12 @@ include_n0 is set.  Crossing-change deltas and skein sums are signed sums of
 the same summand (t^P - 1) y^n, and Invariant.from_summands is the one place
 that turns summands into stored terms.
 
-H does not read the crossing rows, whose lengths sum to O(k^2) events.
-Ind_c^n sees a crossing chord only through its degree, its sign and its
-side, so H reads one signed count of r(c) and one of l(c) per (chord,
-distinct degree) cell.  One sweep of bitset sums fills every cell, and
-the Python work is k times the number of distinct degrees
-(_histogram_summands).  A small diagram can have shorter rows than rows of
-cells; _histogram_pays compares the two costs and sends such a diagram to
-the crossing rows (_row_summands), with equal results.
+H does not read the crossing rows, whose lengths sum to O(k^2) events:
+Ind_c^n sees a crossing chord only through its degree, sign and side, so
+one sweep of bitset sums fills one signed count of r(c) and one of l(c)
+per (chord, distinct degree) cell (_histogram_terms).  _histogram_pays
+sends a small diagram, whose rows can be shorter, to the rows instead.
+Either way _index_polys alone turns a chord's terms into its Ind_c^n.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ import sys
 from array import array
 from collections import defaultdict, namedtuple
 from itertools import compress
-from operator import or_, sub
+from operator import sub
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram, _crossing_row
 from .zpoly import ReductionPolicy, ZPoly, _join_signed, reduce_exponent, reduce_poly
@@ -78,7 +76,7 @@ TermKey = namedtuple("TermKey", ["n", "m", "P"])
 _CELL_COST = 1.1
 _KERNEL_SETUP = 100
 
-# Bytes of a signed bitset field -> its array typecode; see _histogram_summands.
+# Bytes of a signed bitset field -> its array typecode; see _histogram_terms.
 _FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
@@ -178,21 +176,38 @@ def nonzero_height_certificate(inv: Invariant) -> bool:
     return not inv.is_zero()
 
 
-def _index_polys(row, deg, sign, dc, policy, include_n0):
-    """n -> Ind_c^n of a chord with degree dc and crossing row `row` (see index_polys)."""
-    gcd = math.gcd
-    red = reduce_exponent
-    m = abs(dc)
-    buckets = defaultdict(lambda: defaultdict(int))
-    for j, side in row:
-        n = gcd(dc, deg[j])
-        if n == 0 and not include_n0:
-            continue
-        if side:
-            buckets[n][red(deg[j], m, policy)] += sign[j]
-        else:
-            buckets[n][red(-deg[j], m, policy)] -= sign[j]
-    return {n: ZPoly(terms) for n, terms in buckets.items()}
+def _index_polys(table, chord_terms, policy, include_n0):
+    """The summands (n, |d(c)|, Ind_c^n, sgn(c)) of H, from (c, terms of c) pairs.
+
+    A term is a (signed degree, signed count) pair: e in r(c) is (d(e), sgn(e)),
+    e in l(c) is (-d(e), -sgn(e)), a cell is (D, r_c(D)) and (-D, -l_c(D)).
+    Term (D, s) adds s z^phi(D) to class n = gcd(|d(c)|, D), phi reducing mod
+    |d(c)|, both found once per (|d(c)|, D).  Class 0 needs include_n0.
+    """
+    sign, deg = table.sign, table.degree
+    plans = defaultdict(dict)  # |d(c)| -> D -> (n, phi(D))
+    for c, terms in chord_terms:
+        m = abs(deg[c])
+        plan = plans[m]
+        buckets = defaultdict(lambda: defaultdict(int))
+        for D, s in terms:
+            cell = plan.get(D)
+            if cell is None:
+                cell = plan[D] = math.gcd(m, D), reduce_exponent(D, m, policy)
+            n, e = cell
+            buckets[n][e] += s
+        if not include_n0:
+            buckets.pop(0, None)
+        for n, poly in buckets.items():
+            yield n, m, ZPoly(poly), sign[c]
+
+
+def _row_terms(table, cids):
+    """(c, terms of c) for each chord c in cids, one term per chord in c's crossing row."""
+    deg, sign = table.degree, table.sign
+    for c in cids:
+        yield c, [(deg[e], sign[e]) if in_r else (-deg[e], -sign[e])
+                  for e, in_r in _crossing_row(table, c)]
 
 
 def degree(d: GaussDiagram, cid: int) -> int:
@@ -214,12 +229,11 @@ def crossing_partition(d: GaussDiagram, cid: int):
 
 def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
     """n -> Ind_c^n(z) for each gcd class n of the chords crossing cid, n = 0 included."""
-    dc = degree(d, cid)
+    degree(d, cid)
     table = d._table
-    row = _crossing_row(table, cid)
-    for e, _ in row:
+    for e, _ in _crossing_row(table, cid):
         degree(d, e)  # raises where a singular chord leaves d(e) undefined
-    return _index_polys(row, table.degree, table.sign, dc, policy, True)
+    return {n: P for n, _, P, _ in _index_polys(table, _row_terms(table, [cid]), policy, True)}
 
 
 def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -> ZPoly:
@@ -227,17 +241,8 @@ def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -
     return index_polys(d, cid, policy).get(n, ZPoly())
 
 
-def _row_summands(table, policy, include_n0):
-    """The summands (n, |d(c)|, Ind_c^n, sgn(c)) of H, read chord by chord from crossing rows."""
-    sign, deg = table.sign, table.degree
-    return ((n, abs(deg[c]), P, sign[c])
-            for c in range(1, len(sign))
-            for n, P in _index_polys(_crossing_row(table, c), deg, sign, deg[c],
-                                     policy, include_n0).items())
-
-
-def _histogram_summands(table, policy, include_n0):
-    """The summands of _row_summands, read from one signed count per (chord, degree) cell.
+def _histogram_terms(table):
+    """(c, terms of c) for every chord c, read from one signed count per (chord, degree) cell.
 
     Ind_c^n sees a crossing chord e only through d(e), sgn(e) and its side,
     so for each distinct degree D it needs r_c(D) and l_c(D): the signed
@@ -247,9 +252,8 @@ def _histogram_summands(table, policy, include_n0):
     the chords e crosses with that endpoint inside.  Both sets are bitsets
     with one field per chord, so summing sgn(e) times them over the chords
     of degree D counts D's cells of every chord at once.  Which of the two
-    counts is r(c) follows c's direction, as in _crossing_row.  What is
-    left per chord is one pass over its row of cells, bucketed by
-    n = gcd(d(c), D) with the exponents reduced once per (|d(c)|, D).
+    counts is r(c) follows c's direction, as in _crossing_row.  A chord's
+    terms are its nonzero cells, (D, r_c(D)) and (-D, -l_c(D)).
     """
     over, under, sign, deg, at, mate = table
     k = len(sign) - 1
@@ -259,10 +263,10 @@ def _histogram_summands(table, policy, include_n0):
     # Field i of a bitset is chords[i], forward chords (Over first) first.  A
     # field holds a signed count of one degree's chords, biased by half its
     # range, so sums never carry from one field into the next; XOR with the
-    # bias turns the fields into two's complement counts.
+    # bias turns the fields into two's complement counts, and 2 * bias - x
+    # negates every field of x.
     forward = [c for c in range(1, k + 1) if over[c] < under[c]]
     chords = forward + [c for c in range(1, k + 1) if over[c] > under[c]]
-    n_forward = len(forward)
     most = max(map(len, by_degree.values()), default=0)
     width = next(w for w in _FIELD_CODES if most < 1 << (8 * w - 1))
     field = [0] * (k + 1)
@@ -292,28 +296,14 @@ def _histogram_summands(table, policy, include_n0):
             out.byteswap()
         return out
 
-    r_counts, l_counts = [], []
+    fwd = (1 << (8 * width * len(forward))) - 1  # the fields of the forward chords
+    keys, columns = [], []
     for D in by_degree:
-        o, u = counts(via_over.pop(D)), counts(via_under.pop(D))
-        r_counts.append(u[:n_forward] + o[n_forward:])
-        l_counts.append(o[:n_forward] + u[n_forward:])
-    gcd, red = math.gcd, reduce_exponent
-    plans = {}  # |d(c)| -> (gcd, reduced exponent of D, of -D) per degree D
-    for c, r_row, l_row in zip(chords, zip(*r_counts), zip(*l_counts)):
-        m = abs(deg[c])
-        plan = plans.get(m)
-        if plan is None:
-            plan = plans[m] = [(gcd(m, D), red(D, m, policy), red(-D, m, policy))
-                               for D in by_degree]
-        buckets = defaultdict(lambda: defaultdict(int))
-        for (n, er, el), r, l in compress(zip(plan, r_row, l_row), map(or_, r_row, l_row)):
-            terms = buckets[n]
-            terms[er] += r
-            terms[el] -= l
-        if not include_n0:
-            buckets.pop(0, None)
-        for n, terms in buckets.items():
-            yield n, m, ZPoly(terms), sign[c]
+        o, u = via_over.pop(D), via_under.pop(D)
+        keys += D, -D
+        columns += counts(u & fwd | o & ~fwd), counts(2 * bias - (o & fwd | u & ~fwd))
+    for c, row in zip(chords, zip(*columns)):
+        yield c, compress(zip(keys, row), row)
 
 
 def _histogram_pays(table) -> bool:
@@ -337,8 +327,9 @@ def compute_H(d: GaussDiagram,
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
     table = d._table
-    summands = _histogram_summands if _histogram_pays(table) else _row_summands
-    return Invariant.from_summands(policy, summands(table, policy, include_n0))
+    chord_terms = (_histogram_terms(table) if _histogram_pays(table)
+                   else _row_terms(table, range(1, d.k + 1)))
+    return Invariant.from_summands(policy, _index_polys(table, chord_terms, policy, include_n0))
 
 
 def _map_exponents(inv: Invariant, f) -> Invariant:

@@ -414,7 +414,7 @@ def random_walk(d: GaussDiagram, steps: int, seed: int,
     contribute nothing to the draw.  Applied MoveSpecs are appended to
     `trace` when given.
     """
-    if isinstance(allowed, str):
+    if isinstance(allowed, (str, bytes, bytearray)):
         raise MoveError("allowed must be a collection of move kinds, not the string %r"
                         % allowed)
     allowed = set(MOVE_KINDS if allowed is None else allowed)

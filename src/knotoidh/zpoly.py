@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
+from itertools import chain
+from operator import itemgetter
 
 __all__ = ["ReductionPolicy", "ZPoly", "reduce_exponent", "reduce_poly"]
 
@@ -55,11 +57,16 @@ class ZPoly:
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        acc = defaultdict(int)
-        items = terms.items() if isinstance(terms, dict) else terms
-        for e, c in items:
-            acc[int(e)] += int(c)
-        self.terms = tuple(sorted((e, c) for e, c in acc.items() if c))
+        """From a dict exponent -> coefficient, or from (exponent, coefficient) pairs, summed."""
+        items = terms.items() if isinstance(terms, dict) else tuple(terms)
+        if not {int}.issuperset(map(type, chain.from_iterable(items))):
+            raise TypeError("ZPoly needs int exponents and coefficients, not %r" % (list(items),))
+        if not isinstance(terms, dict):
+            merged = defaultdict(int)
+            for e, c in items:
+                merged[e] += c
+            items = merged.items()
+        self.terms = tuple(sorted(filter(itemgetter(1), items)))
 
     @classmethod
     def const(cls, c: int) -> "ZPoly":

@@ -7,9 +7,10 @@ from o(c) to u(c), a chord e crosses c when exactly one endpoint of e
 lies strictly between them; e is in r(c) when that endpoint is e's Under
 endpoint and c runs forward, or e's Over endpoint and c runs backward.
 
-compute_H reads H either from crossing rows or from per-degree counts,
-whichever its cost rule picks; the tests below also run both paths on
-the same diagrams and pin H for criterion 10's diagram.
+compute_H reads each chord's crossings either from its crossing row or
+from per-degree counts, whichever its cost rule picks, and one tail turns
+them into H; the tests below also feed both sources of the same diagrams
+through that tail and pin H for criterion 10's diagram.
 """
 
 import hashlib
@@ -203,9 +204,12 @@ def test_brute_force_on_both_sides_of_the_cost_rule(make, seed):
 
 
 def both_paths(d, policy, include_n0):
-    """H from crossing rows and H from the histogram kernel, for the same diagram."""
-    return [Invariant.from_summands(policy, summands(d._table, policy, include_n0))
-            for summands in (invariant._row_summands, invariant._histogram_summands)]
+    """H from crossing-row terms and H from histogram terms, both through the one tail."""
+    table = d._table
+    sources = (invariant._row_terms(table, range(1, d.k + 1)), invariant._histogram_terms(table))
+    return [Invariant.from_summands(policy,
+                                    invariant._index_polys(table, terms, policy, include_n0))
+            for terms in sources]
 
 
 # Past 127 chords of one degree (nested diagrams, nested hubs) the kernel's

@@ -211,7 +211,7 @@ def test_walk_respects_allowed_kinds():
 
 def test_walk_rejects_a_string_for_allowed():
     d = random_diagram(3, 0)
-    for allowed in ("r3", ""):
+    for allowed in ("r3", "", b"r3", bytearray(b"r3"), b""):
         with pytest.raises(MoveError, match="^allowed must be a collection of move kinds, "
                                             "not the string "):
             random_walk(d, 1, 0, allowed=allowed)

@@ -1,5 +1,6 @@
 """Exponent reduction policies and sparse integer z-polynomials."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from knotoidh.zpoly import ReductionPolicy, ZPoly, reduce_exponent, reduce_poly
@@ -70,6 +71,16 @@ def test_zero_coefficients_are_dropped():
 def test_terms_merge_and_sort():
     p = ZPoly([(3, 1), (-1, 2), (3, 4), (0, -1)])
     assert p.terms == ((-1, 2), (0, -1), (3, 5))
+    assert ZPoly({3: 5, 1: 0, -1: 2, 0: -1}) == p == ZPoly(iter(p.terms))
+
+
+@pytest.mark.parametrize("terms", [
+    [(1.5, 2)], [(1, 2.0)], [(True, 1)], [(1, False)],
+    {"3": True}, {3: True}, {True: 3}, {1: 1, 2: None},
+])
+def test_values_that_are_not_ints_raise(terms):
+    with pytest.raises(TypeError, match="^ZPoly needs int exponents and coefficients"):
+        ZPoly(terms)
 
 
 def test_constructors():
