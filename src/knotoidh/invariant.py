@@ -29,9 +29,13 @@ that turns summands into stored terms.
 H does not read the crossing rows, whose lengths sum to O(k^2) events:
 Ind_c^n sees a crossing chord only through its degree, sign and side, so
 one sweep of bitset sums fills one signed count of r(c) and one of l(c)
-per (chord, distinct degree) cell (_histogram_terms).  _histogram_pays
-sends a small diagram, whose rows can be shorter, to the rows instead.
-Either way _index_polys alone turns a chord's terms into its Ind_c^n.
+per (chord, distinct degree) cell, and those cells reach Ind_c^n only
+through their (n, phi) class.  So the packed cells are summed into one
+count per (chord, class) before any is unpacked (_histogram_terms).
+_histogram_pays sends a small diagram, whose rows can be shorter, to the
+rows instead.  Either way _index_polys alone turns a chord's terms into
+its Ind_c^n, through the per-call class plans (_Plans) that it shares
+with the kernel.
 """
 
 from __future__ import annotations
@@ -72,16 +76,14 @@ TermKey = namedtuple("TermKey", ["n", "m", "P"])
 
 # The histogram kernel costs about _CELL_COST crossing-row events per cell
 # plus _KERNEL_SETUP events per diagram: a least-squares fit of the time
-# difference of the two paths on 400 random diagrams with k from 1 to 60.
-_CELL_COST = 1.1
-_KERNEL_SETUP = 100
+# difference of the two paths on 400 random diagrams with k from 1 to 60
+# (random_diagram, compute_H under QUOTIENT, best of 7 each), refit for the
+# class-column kernel: 1.80 and 163; two more draws gave 1.77/155, 1.83/188.
+_CELL_COST = 1.8
+_KERNEL_SETUP = 160
 
 # Bytes of a signed bitset field -> its array typecode; see _histogram_terms.
 _FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
-
-
-def _term_key(n, m, P):
-    return TermKey(n, 0 if P.is_constant() else m, P)
 
 
 class Invariant:
@@ -106,12 +108,24 @@ class Invariant:
 
         A zero P adds nothing, since t^0 - 1 = 0.
         """
-        exp = defaultdict(int)
-        const = defaultdict(int)
+        exp, const = {}, {}
         for n, m, P, s in items:
             if P:
-                exp[_term_key(n, m, P)] += s
-                const[n] -= s
+                key = TermKey(n, 0 if P.is_constant() else m, P)
+                exp[key] = exp.get(key, 0) + s
+                const[n] = const.get(n, 0) - s
+        return cls(policy, exp, const)
+
+    @classmethod
+    def signed_sum(cls, policy, items):
+        """Sum of s * h over items (s, h), every h under the policy, in one pass."""
+        exp, const = {}, {}
+        for s, h in items:
+            _check_policy(policy, h)
+            for key, c in h.exp_terms.items():
+                exp[key] = exp.get(key, 0) + s * c
+            for n, c in h.const_terms.items():
+                const[n] = const.get(n, 0) + s * c
         return cls(policy, exp, const)
 
     def is_zero(self) -> bool:
@@ -128,7 +142,7 @@ class Invariant:
                      frozenset(self.const_terms.items())))
 
     def __add__(self, other):
-        return _merge(self, other, 1)
+        return Invariant.signed_sum(self.policy, ((1, self), (1, other)))
 
     def __sub__(self, other):
         return invariant_sub(self, other)
@@ -140,35 +154,23 @@ class Invariant:
         return "Invariant(%s, %s)" % (self.policy.value, render(self))
 
 
-def _check_policies(a: Invariant, b: Invariant):
-    if a.policy is not b.policy:
+def _check_policy(policy, h: Invariant):
+    if h.policy is not policy:
         raise ValueError("cannot mix reduction policies %s and %s"
-                         % (a.policy.value, b.policy.value))
+                         % (policy.value, h.policy.value))
 
 
 def invariant_equal(a: Invariant, b: Invariant) -> bool:
-    _check_policies(a, b)
+    _check_policy(a.policy, b)
     return a.exp_terms == b.exp_terms and a.const_terms == b.const_terms
 
 
-def _merge(a: Invariant, b: Invariant, sign: int) -> Invariant:
-    """a + sign * b."""
-    _check_policies(a, b)
-    merged = []
-    for ours, theirs in ((a.exp_terms, b.exp_terms), (a.const_terms, b.const_terms)):
-        out = dict(ours)
-        for key, c in theirs.items():
-            out[key] = out.get(key, 0) + sign * c
-        merged.append(out)
-    return Invariant(a.policy, *merged)
-
-
 def invariant_sub(a: Invariant, b: Invariant) -> Invariant:
-    return _merge(a, b, -1)
+    return Invariant.signed_sum(a.policy, ((1, a), (-1, b)))
 
 
 def invariant_neg(a: Invariant) -> Invariant:
-    return _merge(Invariant(a.policy), a, -1)
+    return Invariant.signed_sum(a.policy, ((-1, a),))
 
 
 def nonzero_height_certificate(inv: Invariant) -> bool:
@@ -176,38 +178,68 @@ def nonzero_height_certificate(inv: Invariant) -> bool:
     return not inv.is_zero()
 
 
-def _index_polys(table, chord_terms, policy, include_n0):
+class _Plan(dict):
+    """D -> (n, phi(D)) for the chords c of one modulus m = |d(c)|, found on first use.
+
+    Term D of such a chord joins class n = gcd(m, D) with exponent phi(D),
+    D reduced mod m under the policy.  This is the only place that finds
+    them; one compute_H call shares its plans (_Plans) between the
+    histogram kernel and _index_polys.
+    """
+
+    __slots__ = ("m", "policy")
+
+    def __init__(self, m, policy):
+        self.m, self.policy = m, policy
+
+    def __missing__(self, D):
+        cell = self[D] = math.gcd(self.m, D), reduce_exponent(D, self.m, self.policy)
+        return cell
+
+
+class _Plans(dict):
+    """m -> the _Plan of modulus m under one policy, made on first use."""
+
+    __slots__ = ("policy",)
+
+    def __init__(self, policy):
+        self.policy = policy
+
+    def __missing__(self, m):
+        plan = self[m] = _Plan(m, self.policy)
+        return plan
+
+
+def _index_polys(table, chord_terms, plans, include_n0):
     """The summands (n, |d(c)|, Ind_c^n, sgn(c)) of H, from (c, terms of c) pairs.
 
     A term is a (signed degree, signed count) pair: e in r(c) is (d(e), sgn(e)),
     e in l(c) is (-d(e), -sgn(e)), a cell is (D, r_c(D)) and (-D, -l_c(D)).
-    Term (D, s) adds s z^phi(D) to class n = gcd(|d(c)|, D), phi reducing mod
-    |d(c)|, both found once per (|d(c)|, D).  Class 0 needs include_n0.
+    Term (D, s) adds s z^phi(D) to class n, (n, phi(D)) = plans[|d(c)|][D].
+    Class 0 needs include_n0.
     """
     sign, deg = table.sign, table.degree
-    plans = defaultdict(dict)  # |d(c)| -> D -> (n, phi(D))
     for c, terms in chord_terms:
         m = abs(deg[c])
         plan = plans[m]
-        buckets = defaultdict(lambda: defaultdict(int))
+        buckets = {}
         for D, s in terms:
-            cell = plan.get(D)
-            if cell is None:
-                cell = plan[D] = math.gcd(m, D), reduce_exponent(D, m, policy)
-            n, e = cell
-            buckets[n][e] += s
+            n, e = plan[D]
+            poly = buckets.get(n)
+            if poly is None:
+                poly = buckets[n] = {}
+            poly[e] = poly.get(e, 0) + s
         if not include_n0:
             buckets.pop(0, None)
         for n, poly in buckets.items():
             yield n, m, ZPoly(poly), sign[c]
 
 
-def _row_terms(table, cids):
-    """(c, terms of c) for each chord c in cids, one term per chord in c's crossing row."""
+def _row_terms(table, rows):
+    """(c, terms of c) for each (c, crossing row of c) pair, one term per chord in the row."""
     deg, sign = table.degree, table.sign
-    for c in cids:
-        yield c, [(deg[e], sign[e]) if in_r else (-deg[e], -sign[e])
-                  for e, in_r in _crossing_row(table, c)]
+    for c, row in rows:
+        yield c, [(deg[e], sign[e]) if in_r else (-deg[e], -sign[e]) for e, in_r in row]
 
 
 def degree(d: GaussDiagram, cid: int) -> int:
@@ -231,9 +263,11 @@ def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
     """n -> Ind_c^n(z) for each gcd class n of the chords crossing cid, n = 0 included."""
     degree(d, cid)
     table = d._table
-    for e, _ in _crossing_row(table, cid):
+    row = _crossing_row(table, cid)
+    for e, _ in row:
         degree(d, e)  # raises where a singular chord leaves d(e) undefined
-    return {n: P for n, _, P, _ in _index_polys(table, _row_terms(table, [cid]), policy, True)}
+    summands = _index_polys(table, _row_terms(table, [(cid, row)]), _Plans(policy), True)
+    return {n: P for n, _, P, _ in summands}
 
 
 def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -> ZPoly:
@@ -241,8 +275,8 @@ def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -
     return index_polys(d, cid, policy).get(n, ZPoly())
 
 
-def _histogram_terms(table):
-    """(c, terms of c) for every chord c, read from one signed count per (chord, degree) cell.
+def _histogram_terms(table, plans):
+    """(c, terms of c) for every chord c, one term per nonzero (n, phi) class cell of c.
 
     Ind_c^n sees a crossing chord e only through d(e), sgn(e) and its side,
     so for each distinct degree D it needs r_c(D) and l_c(D): the signed
@@ -252,27 +286,38 @@ def _histogram_terms(table):
     the chords e crosses with that endpoint inside.  Both sets are bitsets
     with one field per chord, so summing sgn(e) times them over the chords
     of degree D counts D's cells of every chord at once.  Which of the two
-    counts is r(c) follows c's direction, as in _crossing_row.  A chord's
-    terms are its nonzero cells, (D, r_c(D)) and (-D, -l_c(D)).
+    counts is r(c) follows c's direction, as in _crossing_row.
+
+    The cells (D, r_c(D)) and (-D, -l_c(D)) of c reach Ind_c^n only through
+    their class plans[|d(c)|][D] = (n, phi(D)), which is the same for every
+    chord of one |d(c)|.  So the fields of each |d(c)| lie side by side, and
+    one add per (|d(c)|, signed degree) sums that slice of the packed cells
+    into a packed column per class before anything is unpacked.  A chord's
+    terms are its nonzero class cells, each as (a degree of the class, its
+    count), which the plan maps back to the same class.
     """
     over, under, sign, deg, at, mate = table
     k = len(sign) - 1
-    by_degree = defaultdict(list)
+    by_degree, by_modulus = defaultdict(list), defaultdict(list)
     for c in range(1, k + 1):
         by_degree[deg[c]].append(c)
-    # Field i of a bitset is chords[i], forward chords (Over first) first.  A
-    # field holds a signed count of one degree's chords, biased by half its
-    # range, so sums never carry from one field into the next; XOR with the
-    # bias turns the fields into two's complement counts, and 2 * bias - x
-    # negates every field of x.
-    forward = [c for c in range(1, k + 1) if over[c] < under[c]]
-    chords = forward + [c for c in range(1, k + 1) if over[c] > under[c]]
+        by_modulus[abs(deg[c])].append(c)
+    # Field i of a bitset is chords[i], the chords of each |d(c)| side by
+    # side.  A field holds a signed count biased by half its range, so sums
+    # never carry from one field into the next.  A degree cell counts chords
+    # of one degree, and the sweep's fields have `narrow` bytes to hold that;
+    # a class cell sums terms of distinct crossing chords, so |count| < k,
+    # and the class columns widen every field to `width` bytes.  XOR with
+    # the bias turns the fields into two's complement counts, and
+    # 2 * bias - x negates every field of x.
+    chords = [c for group in by_modulus.values() for c in group]
     most = max(map(len, by_degree.values()), default=0)
-    width = next(w for w in _FIELD_CODES if most < 1 << (8 * w - 1))
+    narrow, width = (next(w for w in _FIELD_CODES if n < 1 << (8 * w - 1)) for n in (most, k))
+    unit = bytes(narrow - 1) + b"\x80"  # the bias of one narrow field
     field = [0] * (k + 1)
     for i, c in enumerate(chords):
-        field[c] = 1 << (8 * width * i)
-    bias = int.from_bytes((bytes(width - 1) + b"\x80") * k, "little")
+        field[c] = 1 << (8 * narrow * i)
+    bias = int.from_bytes(unit * k, "little")
     via_over, via_under = dict.fromkeys(by_degree, bias), dict.fromkeys(by_degree, bias)
     spanning = 0  # the chords whose span holds the current position
     at_first = {}
@@ -289,21 +334,39 @@ def _histogram_terms(table):
         via_over[deg[e]] += sign[e] * (at_over ^ nests_e)
         via_under[deg[e]] += sign[e] * (at_under ^ nests_e)
 
-    def counts(bitset):
-        out = array(_FIELD_CODES[width])
-        out.frombytes((bitset ^ bias).to_bytes(k * width, "little"))
-        if sys.byteorder == "big":
-            out.byteswap()
+    fwd = int.from_bytes(b"".join(b"\xff" * narrow if over[c] < under[c] else bytes(narrow)
+                                  for c in chords), "little")  # the forward chords' fields
+
+    def widened(x):
+        """The biased fields of x, each zero-extended from narrow to width bytes."""
+        packed, out = x.to_bytes(k * narrow, "little"), bytearray(k * width)
+        for j in range(narrow):
+            out[j::width] = packed[j::narrow]
         return out
 
-    fwd = (1 << (8 * width * len(forward))) - 1  # the fields of the forward chords
-    keys, columns = [], []
+    columns = []  # (D, r column) and (-D, -l column), packed, biased and widened
     for D in by_degree:
         o, u = via_over.pop(D), via_under.pop(D)
-        keys += D, -D
-        columns += counts(u & fwd | o & ~fwd), counts(2 * bias - (o & fwd | u & ~fwd))
-    for c, row in zip(chords, zip(*columns)):
-        yield c, compress(zip(keys, row), row)
+        columns += (D, widened(u & fwd | o & ~fwd)), (-D, widened(2 * bias - (o & fwd | u & ~fwd)))
+    start = 0
+    for m, group in by_modulus.items():
+        plan, stop = plans[m], start + len(group) * width
+        cell_bias = int.from_bytes((unit + bytes(width - narrow)) * len(group), "little")
+        class_bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(group), "little")
+        rep, sums = {}, {}  # (n, phi) -> its first degree; that degree -> packed class column
+        for D, column in columns:
+            r = rep.setdefault(plan[D], D)
+            sums[r] = sums.get(r, class_bias) + int.from_bytes(column[start:stop], "little") - cell_bias
+        start = stop
+        keys, rows = list(sums), []
+        for total in sums.values():
+            counts = array(_FIELD_CODES[width])
+            counts.frombytes((total ^ class_bias).to_bytes(len(group) * width, "little"))
+            if sys.byteorder == "big":
+                counts.byteswap()
+            rows.append(counts)
+        for c, row in zip(group, zip(*rows)):
+            yield c, compress(zip(keys, row), row)
 
 
 def _histogram_pays(table) -> bool:
@@ -327,9 +390,10 @@ def compute_H(d: GaussDiagram,
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
     table = d._table
-    chord_terms = (_histogram_terms(table) if _histogram_pays(table)
-                   else _row_terms(table, range(1, d.k + 1)))
-    return Invariant.from_summands(policy, _index_polys(table, chord_terms, policy, include_n0))
+    plans = _Plans(policy)
+    chord_terms = (_histogram_terms(table, plans) if _histogram_pays(table) else
+                   _row_terms(table, ((c, _crossing_row(table, c)) for c in range(1, d.k + 1))))
+    return Invariant.from_summands(policy, _index_polys(table, chord_terms, plans, include_n0))
 
 
 def _map_exponents(inv: Invariant, f) -> Invariant:
@@ -437,7 +501,7 @@ def invariant_from_json(text: str) -> Invariant:
         if [list(p) for p in P.terms] != pairs:
             raise ValueError("P needs ascending distinct exponents and nonzero"
                              " coefficients in term %r" % (t,))
-        if _term_key(n, m, P).m != m:
+        if P.is_constant() and m:
             raise ValueError("constant exponent polynomial needs m = 0 in term %r" % (t,))
         if reduce_poly(P, m, policy) != P:
             raise ValueError("exponents not reduced mod %d under %s in term %r"

@@ -64,11 +64,10 @@ def singular_H(d: GaussDiagram,
                include_n0: bool = False) -> Invariant:
     """Alternating sum of H over all full resolutions of d."""
     ids = d.singular_ids()
-    total = Invariant(policy)
-    for assignment in product((1, -1), repeat=len(ids)):
-        h = compute_H(_resolve(d, dict(zip(ids, assignment))), policy, include_n0)
-        total = total - h if assignment.count(-1) % 2 else total + h
-    return total
+    return Invariant.signed_sum(policy, (
+        ((-1) ** assignment.count(-1),
+         compute_H(_resolve(d, dict(zip(ids, assignment))), policy, include_n0))
+        for assignment in product((1, -1), repeat=len(ids))))
 
 
 def random_singular_diagram(k: int, s: int, seed: int) -> GaussDiagram:

@@ -51,10 +51,10 @@ class ZPoly:
 
     Terms are kept as a sorted tuple of (exponent, coefficient) pairs with
     zero coefficients dropped, so equal polynomials compare equal and can
-    be used as dictionary keys.
+    be used as dictionary keys; the hash is taken once, at construction.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=()):
         """From a dict exponent -> coefficient, or from (exponent, coefficient) pairs, summed."""
@@ -67,6 +67,7 @@ class ZPoly:
                 merged[e] += c
             items = merged.items()
         self.terms = tuple(sorted(filter(itemgetter(1), items)))
+        self._hash = hash(self.terms)
 
     @classmethod
     def const(cls, c: int) -> "ZPoly":
@@ -85,7 +86,7 @@ class ZPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.terms)
+        return self._hash
 
     def __add__(self, other: "ZPoly") -> "ZPoly":
         return ZPoly(self.terms + other.terms)
@@ -106,7 +107,8 @@ class ZPoly:
         return ZPoly(tuple((-e, c) for e, c in self.terms))
 
     def is_constant(self) -> bool:
-        return all(e == 0 for e, _ in self.terms)
+        terms = self.terms  # sorted with distinct exponents: a constant has at most (0, c)
+        return not terms or (len(terms) == 1 and terms[0][0] == 0)
 
     def constant_value(self) -> int:
         if not self.is_constant():

@@ -8,9 +8,11 @@ lies strictly between them; e is in r(c) when that endpoint is e's Under
 endpoint and c runs forward, or e's Over endpoint and c runs backward.
 
 compute_H reads each chord's crossings either from its crossing row or
-from per-degree counts, whichever its cost rule picks, and one tail turns
-them into H; the tests below also feed both sources of the same diagrams
-through that tail and pin H for criterion 10's diagram.
+from per-degree counts summed into (n, phi) class counts, whichever its
+cost rule picks, and one tail turns them into H; the tests below also feed
+both sources of the same diagrams through that tail, with a diagram for
+each rule by which degree counts merge into class counts, and pin H for
+criterion 10's diagram.
 """
 
 import hashlib
@@ -206,10 +208,12 @@ def test_brute_force_on_both_sides_of_the_cost_rule(make, seed):
 def both_paths(d, policy, include_n0):
     """H from crossing-row terms and H from histogram terms, both through the one tail."""
     table = d._table
-    sources = (invariant._row_terms(table, range(1, d.k + 1)), invariant._histogram_terms(table))
+    rows = ((c, gauss._crossing_row(table, c)) for c in range(1, d.k + 1))
+    plans = invariant._Plans(policy), invariant._Plans(policy)
+    sources = invariant._row_terms(table, rows), invariant._histogram_terms(table, plans[1])
     return [Invariant.from_summands(policy,
-                                    invariant._index_polys(table, terms, policy, include_n0))
-            for terms in sources]
+                                    invariant._index_polys(table, terms, plan, include_n0))
+            for terms, plan in zip(sources, plans)]
 
 
 # Past 127 chords of one degree (nested diagrams, nested hubs) the kernel's
@@ -229,6 +233,78 @@ def test_histogram_and_row_paths_agree(make, sizes):
                     assert rows.exp_terms == histogram.exp_terms, (k, seed)
                     assert rows.const_terms == histogram.const_terms, (k, seed)
                     assert render(rows, "json") == render(histogram, "json")
+
+
+def block_hub_diagram(size, seed):
+    """A hub crossed by two blocks of `size` chords that share one sign and direction.
+
+    Each block nests within itself and crosses the other block whole, so
+    the blocks' degrees differ by 2 * size = |d(hub)|: the hub's cells of
+    the two degrees fall into one (n, phi) class of count 2 * size, while
+    no single degree has more than `size` chords.
+    """
+    rng = random.Random(seed)
+    n = 2 * size
+    sign, inward = rng.choice((1, -1)), rng.random() < 0.5
+    chords = [(1, n + 2, rng.choice((1, -1)))]
+    for i in range(n):
+        inner = 2 + i
+        outer = n + 3 + (i // size) * size + size - 1 - i % size
+        chords.append((outer, inner, sign) if inward else (inner, outer, sign))
+    return from_chord_positions(chords)
+
+
+def merge_rules(d):
+    """The rules for merging degree cells into (n, phi) class cells that d exercises.
+
+    Read from the brute-force crossings: the term (D, s) of e in r(c) is
+    (d(e), sgn(e)), of e in l(c) it is (-d(e), -sgn(e)).
+    """
+    ch = brute_chords(d)
+    deg = {c: brute_degree(ch, c) for c in ch}
+    most = max((list(deg.values()).count(D) for D in set(deg.values())), default=0)
+    hit = set()
+    for c in ch:
+        m = abs(deg[c])
+        cells = {}  # (n, D mod m) -> {D: summed count}
+        for e in ch:
+            side = brute_side(ch[c], ch[e]) if e != c else 0
+            if side:
+                D, s = side * deg[e], side * ch[e][2]
+                cell = cells.setdefault((math.gcd(m, D), D % m if m else D), {})
+                cell[D] = cell.get(D, 0) + s
+        for (n, _), cell in cells.items():
+            if m and m % 2 == 0 and {D > 0 for D in cell if D % m == m // 2} == {True, False}:
+                hit.add("literal tie")  # D = +m/2 and -m/2 share a class only under QUOTIENT
+            if len(cell) > 1 and any(cell.values()) and not sum(cell.values()):
+                hit.add("cancelling cell")
+            if not m:
+                hit.add("degree 0" if n else "n = 0")
+            if abs(sum(cell.values())) > max(127, most):
+                hit.add("wide count")
+    return hit
+
+
+def test_class_columns_match_the_rows_through_the_one_tail():
+    """Each merge rule of the class columns, against the crossing rows, bit for bit."""
+    diagrams = [random_diagram(k, seed) for k in (12, 40, 90) for seed in range(3)]
+    diagrams += [random_nested_diagram(30, 1), hub_diagram(40, 1), block_hub_diagram(100, 0),
+                 block_hub_diagram(100, 1)]
+    hit = set()
+    for d in diagrams:
+        hit |= merge_rules(d)
+        for policy in POLICIES:
+            plans = invariant._Plans(policy)
+            for c, terms in invariant._histogram_terms(d._table, plans):
+                terms = list(terms)  # one term per class, none zero
+                classes = [plans[abs(d._table.degree[c])][D] for D, _ in terms]
+                assert len(set(classes)) == len(classes) and all(s for _, s in terms)
+            for include_n0 in (False, True):
+                rows, histogram = both_paths(d, policy, include_n0)
+                assert rows.exp_terms == histogram.exp_terms
+                assert rows.const_terms == histogram.const_terms
+                assert render(rows, "json") == render(histogram, "json")
+    assert hit == {"literal tie", "cancelling cell", "degree 0", "n = 0", "wide count"}
 
 
 # SHA-256 of render(compute_H(random_diagram(1000, 97), policy), "json"), recorded
@@ -260,6 +336,20 @@ def test_criterion_10_diagram_reads_no_crossing_row(monkeypatch):
     h = compute_H(d)
     assert not h.is_zero()
     assert calls == []
+
+
+def test_crossing_change_delta_reads_the_row_once(monkeypatch):
+    calls = []
+
+    def counted(table, cid):
+        calls.append(cid)
+        return row(table, cid)
+
+    row = gauss._crossing_row
+    monkeypatch.setattr(invariant, "_crossing_row", counted)
+    d = random_diagram(400, 3)
+    assert not crossing_change_delta(d, 5).is_zero()
+    assert calls == [5]
 
 
 def test_cache_is_invisible_to_equality_hash_and_repr():
