@@ -5,10 +5,14 @@ segment, two per chord: the Over passage and the Under passage.  Chords
 are directed Over -> Under and carry a sign, or are marked singular with
 `*` when the crossing is a double point.
 
-Code grammar: whitespace-separated tokens `O<id><tag>` / `U<id><tag>`,
-tag in {+, -} required on O tokens and optional (but matching) on U
-tokens; singular chords use `*` instead, e.g. `O3* U3*`.  Chord ids must
-be exactly 1..k.  The empty code is the trivial diagram.
+Code grammar: tokens `O<id><tag>` / `U<id><tag>` separated by the
+whitespace that `str.split()` splits on.  The tag is `+` or `-`, or `*`
+for a singular chord (a double point), e.g. `O3* U3*`; it is required on
+O tokens and optional on U tokens, where it must match the O token's.
+An id is written in ASCII decimal without leading zeros, and the ids of a
+code must be exactly 1..k.  The empty code is the trivial diagram.  A
+code is read in one regular-expression scan; a rejected code raises
+GaussCodeError naming its first bad token in text order.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
+from itertools import compress, repeat
 from types import MappingProxyType
 
 __all__ = [
@@ -58,7 +63,9 @@ ChordView = namedtuple("ChordView", ["id", "over_pos", "under_pos", "sign"])
 # position of its other endpoint) are indexed by position.
 _ChordTable = namedtuple("_ChordTable", ["over", "under", "sign", "degree", "at", "mate"])
 
-_TOKEN = re.compile(r"([OU])([0-9]+)([+\-*]?)\Z")
+# One match per token: (kind, id, tag, "") for a well-formed token, else
+# ("", "", "", token).  re's \s and str.split() agree on every code point.
+_TOKEN = re.compile(r"([OU])(0|[1-9][0-9]*)([+\-*]?)(?!\S)|(\S+)")
 
 _TAGS = {"+": 1, "-": -1, "*": SINGULAR}
 _TAG_OF = {1: "+", -1: "-", SINGULAR: "*"}
@@ -126,8 +133,9 @@ class GaussDiagram:
     @cached_property
     def _views(self) -> dict:
         over, under, sign = self._table[:3]
-        return {cid: ChordView(cid, over[cid], under[cid], sign[cid])
-                for cid in range(1, self.k + 1)}
+        ids = range(1, self.k + 1)
+        return dict(zip(ids, map(tuple.__new__, repeat(ChordView),
+                                 zip(ids, over[1:], under[1:], sign[1:]))))
 
     def chords(self) -> dict:
         """Read-only map chord id -> ChordView with 1-based endpoint positions."""
@@ -179,39 +187,61 @@ def from_chord_positions(chords) -> GaussDiagram:
 
 
 def parse_gauss_code(text: str) -> GaussDiagram:
-    """Parse a Gauss code string; see the module grammar."""
-    signs = {}
-    entries = []
-    for tok in text.split():
-        m = _TOKEN.match(tok)
-        if not m:
-            raise GaussCodeError("malformed token %r" % tok)
-        kind, cid, tag = m.group(1), int(m.group(2)), m.group(3)
-        if cid == 0:
-            raise GaussCodeError("malformed token %r: chord ids start at 1" % tok)
-        if kind == "O":
-            if not tag:
-                raise GaussCodeError("token %r: O tokens need a sign or *" % tok)
-            if cid in signs and signs[cid] is not None and signs[cid] != _TAGS[tag]:
-                raise GaussCodeError("chord %d: sign mismatch between O and U tokens" % cid)
-            signs[cid] = _TAGS[tag]
-        elif tag:
-            prev = signs.get(cid)
-            if prev is not None and prev != _TAGS[tag]:
-                raise GaussCodeError("chord %d: sign mismatch between O and U tokens" % cid)
-            signs.setdefault(cid, _TAGS[tag])
-        else:
-            signs.setdefault(cid, None)
-        entries.append((kind, cid))
-    unsigned = sorted(cid for cid, s in signs.items() if s is None)
+    """Parse a Gauss code string; see the module grammar.
+
+    One findall splits the text and matches every token.  The checks run
+    over whole columns of tokens, each chord's sign is resolved once, and
+    the events are built by map, so no Python code runs per token of an
+    accepted code.  Only a code that fails a column check is walked token
+    by token, to name its first bad token.
+    """
+    found = _TOKEN.findall(text)
+    if not found:
+        return GaussDiagram(())
+    kinds, ids, tags, junk = zip(*found)
+    signs = dict(compress(zip(ids, tags), tags))  # id -> the last tag on any of its tokens
+    if (any(junk) or "0" in ids or ("O", "") in zip(kinds, tags)
+            or len(set(compress(zip(ids, tags), tags))) != len(signs)
+            or "" in tags and set(ids) != set(compress(ids, map("O".__eq__, kinds)))):
+        _reject(found)
+    sign_of = dict(zip(signs, map(_TAGS.__getitem__, signs.values())))
+    return GaussDiagram(tuple(map(tuple.__new__, repeat(Event),
+                                  zip(map(int, ids), kinds, map(sign_of.__getitem__, ids)))))
+
+
+def _reject(found) -> None:
+    """Raise for the first bad token of a code that failed a column check.
+
+    A token is bad when it is malformed or its tag clashes with the one its
+    chord is held to: that of the chord's first token, or of its first O
+    token when the first is an untagged U.  Tags read before the chord is
+    held to one are not compared.  After the last token, a chord held to no
+    tag has no sign.  A code with none of these returns, and GaussDiagram's
+    checks reject it: some chord has two U tokens or no O token.
+    """
+    held = {}  # id -> tag it is held to, "" while only untagged U tokens were read
+    for kind, cid, tag, junk in found:
+        if junk:
+            raise GaussCodeError("malformed token %r" % junk)
+        if cid == "0":
+            raise GaussCodeError("malformed token %r: chord ids start at 1" % (kind + cid + tag))
+        if kind == "O" and not tag:
+            raise GaussCodeError("token %r: O tokens need a sign or *" % (kind + cid))
+        if tag and held.get(cid, tag) not in ("", tag):
+            raise GaussCodeError("chord %s: sign mismatch between O and U tokens" % cid)
+        if kind == "O" or cid not in held:
+            held[cid] = tag
+    unsigned = [int(cid) for cid, tag in held.items() if not tag]
     if unsigned:
-        raise GaussCodeError("chord %d has no sign on either token" % unsigned[0])
-    return GaussDiagram(tuple(Event(cid, kind, signs[cid]) for kind, cid in entries))
+        raise GaussCodeError("chord %d has no sign on either token" % min(unsigned))
 
 
 def serialize(d: GaussDiagram) -> str:
     """Canonical code: every token carries its tag, on U tokens too."""
-    return " ".join("%s%d%s" % (ev.kind, ev.chord, _TAG_OF[ev.sign]) for ev in d.events)
+    if not d.events:
+        return ""
+    chords, kinds, signs = zip(*d.events)
+    return " ".join(map("%s%d%s".__mod__, zip(kinds, chords, map(_TAG_OF.__getitem__, signs))))
 
 
 def reverse(d: GaussDiagram) -> GaussDiagram:

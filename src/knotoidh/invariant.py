@@ -414,8 +414,9 @@ def subst_z_inverse(inv: Invariant) -> Invariant:
     return _map_exponents(inv, ZPoly.subst_z_inverse)
 
 
-def _sorted_keys(inv: Invariant):
-    return sorted(inv.exp_terms, key=lambda k: (k.n, k.m, k.P.terms))
+def _sorted_terms(inv: Invariant) -> list:
+    """(TermKey, coefficient) pairs in ascending (n, m, P) order."""
+    return sorted(inv.exp_terms.items(), key=lambda kv: (kv[0].n, kv[0].m, kv[0].P.terms))
 
 
 _PLAIN_INT = re.compile(r"-?[0-9]+\Z")
@@ -446,13 +447,13 @@ def _y_power(n: int, latex: bool) -> str:
 
 def _render_terms(inv: Invariant, latex: bool) -> str:
     strata = sorted(set(k.n for k in inv.exp_terms) | set(inv.const_terms))
-    keys_by_n = defaultdict(list)
-    for key in _sorted_keys(inv):
-        keys_by_n[key.n].append(key)
     t_power = _t_power_latex if latex else _t_power
+    terms_by_n = defaultdict(list)
+    for key, coeff in _sorted_terms(inv):
+        terms_by_n[key.n].append((coeff, t_power(key.P)))
     out = []
     for n in strata:
-        terms = [(inv.exp_terms[key], t_power(key.P)) for key in keys_by_n[n]]
+        terms = terms_by_n[n]
         if n in inv.const_terms:
             terms.append((inv.const_terms[n], ""))
         body = _join_signed(terms, times="" if latex else "*")
@@ -464,10 +465,16 @@ def _render_terms(inv: Invariant, latex: bool) -> str:
 
 
 def invariant_to_json(inv: Invariant) -> str:
-    terms = [{"n": k.n, "m": k.m, "P": [[e, c] for e, c in k.P.terms],
-              "coeff": inv.exp_terms[k]} for k in _sorted_keys(inv)]
-    consts = [{"n": n, "coeff": inv.const_terms[n]} for n in sorted(inv.const_terms)]
-    return json.dumps({"policy": inv.policy.value, "terms": terms, "consts": consts})
+    """Canonical JSON text, byte for byte what json.dumps writes for
+    {"policy": ..., "terms": [{"n", "m", "P", "coeff"}, ...], "consts": [{"n", "coeff"}, ...]}
+    with terms in render order and consts ascending in n.
+    """
+    terms = ['{"n": %d, "m": %d, "P": [%s], "coeff": %d}'
+             % (key.n, key.m, ", ".join(map("[%d, %d]".__mod__, key.P.terms)), coeff)
+             for key, coeff in _sorted_terms(inv)]
+    consts = map('{"n": %d, "coeff": %d}'.__mod__, sorted(inv.const_terms.items()))
+    return '{"policy": "%s", "terms": [%s], "consts": [%s]}' % (
+        inv.policy.value, ", ".join(terms), ", ".join(consts))
 
 
 def _json_int(obj, field, minimum=None) -> int:

@@ -69,6 +69,11 @@ def test_compute_rejects_bad_code(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_compute_rejects_a_leading_zero_id_in_one_line(capsys):
+    rc, out, err = run(capsys, "compute", "--code", "O01+ U1+")
+    assert (rc, out, err) == (2, "", "error: malformed token 'O01+'\n")
+
+
 def test_compute_rejects_missing_file(capsys):
     rc, _, err = run(capsys, "compute", "--file", "/nonexistent.gko")
     assert rc == 2 and "error" in err

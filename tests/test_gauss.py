@@ -60,6 +60,7 @@ def test_singular_chords_parse_with_star():
     ("O1+ U2+", "missing"),
     ("O1 U1", "sign"),
     ("X1+ U1+", "token"),
+    ("O01+ U1+", "^malformed token 'O01\\+'$"),
 ])
 def test_malformed_codes_are_rejected(code, message):
     with pytest.raises(GaussCodeError, match=message):
