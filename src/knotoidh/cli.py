@@ -15,14 +15,14 @@ import argparse
 import json
 import random
 import sys
+from functools import partial
 
 from .gauss import (GaussCodeError, bundled_diagrams, crossing_change,
                     load_gko, mirror, parse_gauss_code, random_diagram,
                     random_nested_diagram, reverse, serialize)
 from .gordian import (NotHomotopyForm, crossing_change_delta, decompose,
                       decomposition_json)
-from .invariant import (Invariant, compute_H, invariant_neg, invariant_sub,
-                        render, subst_t_inverse, subst_z_inverse)
+from .invariant import Invariant, compute_H, render, subst_t_inverse, subst_z_inverse
 from . import moves
 from .moves import format_trace, random_walk
 from .singular import random_singular_diagram, singular_H
@@ -49,7 +49,7 @@ def _cmd_compute(args) -> int:
 def symmetry_image(h: Invariant, kind: str) -> Invariant:
     """Predicted H of the reversed ("reverse") or mirrored ("mirror") diagram."""
     h = subst_t_inverse(h)
-    return h if kind == "reverse" else invariant_neg(subst_z_inverse(h))
+    return h if kind == "reverse" else -subst_z_inverse(h)
 
 
 def _cmd_compare(args) -> int:
@@ -68,8 +68,8 @@ def _cmd_compare(args) -> int:
 
 def _cmd_gordian(args) -> int:
     policy = _policy(args)
-    delta = invariant_sub(compute_H(parse_gauss_code(args.code_a), policy),
-                          compute_H(parse_gauss_code(args.code_b), policy))
+    delta = (compute_H(parse_gauss_code(args.code_a), policy)
+             - compute_H(parse_gauss_code(args.code_b), policy))
     try:
         dec = decompose(delta)
     except NotHomotopyForm as exc:
@@ -95,17 +95,10 @@ def _move_invariance(rng, max_chords, policy):
         return "%s\nseed %d\n%s" % (serialize(d), seed, format_trace(trace))
 
 
-def _reverse_identity(rng, max_chords, policy):
+def _symmetry_identity(kind, rng, max_chords, policy):
     d = random_diagram(rng.randint(1, max_chords), rng.randrange(2 ** 31))
-    h = compute_H(d, policy)
-    if compute_H(reverse(d), policy) != symmetry_image(h, "reverse"):
-        return serialize(d)
-
-
-def _mirror_identity(rng, max_chords, policy):
-    d = random_diagram(rng.randint(1, max_chords), rng.randrange(2 ** 31))
-    h = compute_H(d, policy)
-    if compute_H(mirror(d), policy) != symmetry_image(h, "mirror"):
+    image = reverse(d) if kind == "reverse" else mirror(d)
+    if compute_H(image, policy) != symmetry_image(compute_H(d, policy), kind):
         return serialize(d)
 
 
@@ -158,8 +151,8 @@ def _gordian_bound(rng, max_chords, policy):
 # exponents are not move invariant, so the rows with a walk only report.
 PROPERTIES = (
     ("move_invariance", _move_invariance, False),
-    ("reverse_identity", _reverse_identity, True),
-    ("mirror_identity", _mirror_identity, True),
+    ("reverse_identity", partial(_symmetry_identity, "reverse"), True),
+    ("mirror_identity", partial(_symmetry_identity, "mirror"), True),
     ("order_one", _order_one, True),
     ("crossing_change_delta", _crossing_change_delta, True),
     ("nested_zero_height", _nested_zero_height, True),

@@ -8,7 +8,8 @@ are directed Over -> Under and carry a sign, or are marked singular with
 Code grammar: tokens `O<id><tag>` / `U<id><tag>` separated by the
 whitespace that `str.split()` splits on.  The tag is `+` or `-`, or `*`
 for a singular chord (a double point), e.g. `O3* U3*`; it is required on
-O tokens and optional on U tokens, where it must match the O token's.
+O tokens and optional on U tokens.  All the tagged tokens of a chord must
+agree, and their tag is the chord's sign.
 An id is written in ASCII decimal without leading zeros, and the ids of a
 code must be exactly 1..k.  The empty code is the trivial diagram.  A
 code is read in one regular-expression scan; a rejected code raises
@@ -189,11 +190,8 @@ def from_chord_positions(chords) -> GaussDiagram:
 def parse_gauss_code(text: str) -> GaussDiagram:
     """Parse a Gauss code string; see the module grammar.
 
-    One findall splits the text and matches every token.  The checks run
-    over whole columns of tokens, each chord's sign is resolved once, and
-    the events are built by map, so no Python code runs per token of an
-    accepted code.  Only a code that fails a column check is walked token
-    by token, to name its first bad token.
+    The checks run over whole columns of tokens; only a code that fails one
+    is walked token by token (_reject).
     """
     found = _TOKEN.findall(text)
     if not found:
@@ -202,7 +200,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     signs = dict(compress(zip(ids, tags), tags))  # id -> the last tag on any of its tokens
     if (any(junk) or "0" in ids or ("O", "") in zip(kinds, tags)
             or len(set(compress(zip(ids, tags), tags))) != len(signs)
-            or "" in tags and set(ids) != set(compress(ids, map("O".__eq__, kinds)))):
+            or "" in tags and len(signs) != len(set(ids))):
         _reject(found)
     sign_of = dict(zip(signs, map(_TAGS.__getitem__, signs.values())))
     return GaussDiagram(tuple(map(tuple.__new__, repeat(Event),
@@ -210,16 +208,9 @@ def parse_gauss_code(text: str) -> GaussDiagram:
 
 
 def _reject(found) -> None:
-    """Raise for the first bad token of a code that failed a column check.
-
-    A token is bad when it is malformed or its tag clashes with the one its
-    chord is held to: that of the chord's first token, or of its first O
-    token when the first is an untagged U.  Tags read before the chord is
-    held to one are not compared.  After the last token, a chord held to no
-    tag has no sign.  A code with none of these returns, and GaussDiagram's
-    checks reject it: some chord has two U tokens or no O token.
-    """
-    held = {}  # id -> tag it is held to, "" while only untagged U tokens were read
+    """Raise for the first bad token of a code that failed a column check,
+    else for its least chord with no tagged token."""
+    first = {}  # id -> the tag of its first tagged token
     for kind, cid, tag, junk in found:
         if junk:
             raise GaussCodeError("malformed token %r" % junk)
@@ -227,13 +218,10 @@ def _reject(found) -> None:
             raise GaussCodeError("malformed token %r: chord ids start at 1" % (kind + cid + tag))
         if kind == "O" and not tag:
             raise GaussCodeError("token %r: O tokens need a sign or *" % (kind + cid))
-        if tag and held.get(cid, tag) not in ("", tag):
+        if tag and first.setdefault(cid, tag) != tag:
             raise GaussCodeError("chord %s: sign mismatch between O and U tokens" % cid)
-        if kind == "O" or cid not in held:
-            held[cid] = tag
-    unsigned = [int(cid) for cid, tag in held.items() if not tag]
-    if unsigned:
-        raise GaussCodeError("chord %d has no sign on either token" % min(unsigned))
+    unsigned = [int(cid) for _, cid, _, _ in found if cid not in first]
+    raise GaussCodeError("chord %d has no sign on either token" % min(unsigned))
 
 
 def serialize(d: GaussDiagram) -> str:
@@ -249,11 +237,14 @@ def reverse(d: GaussDiagram) -> GaussDiagram:
     return GaussDiagram(tuple(reversed(d.events)))
 
 
+def _switched(ev: Event) -> Event:
+    """ev with Over and Under swapped and its sign negated."""
+    return Event(ev.chord, "U" if ev.kind == "O" else "O", -ev.sign)
+
+
 def mirror(d: GaussDiagram) -> GaussDiagram:
     """Swap Over/Under at every crossing and negate all signs in place."""
-    return GaussDiagram(tuple(
-        Event(ev.chord, "U" if ev.kind == "O" else "O", -ev.sign) for ev in d.events
-    ))
+    return GaussDiagram(tuple(map(_switched, d.events)))
 
 
 def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
@@ -261,11 +252,7 @@ def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
     view = d.chord(cid)
     if view.sign == SINGULAR:
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)
-    return GaussDiagram(tuple(
-        Event(ev.chord, "U" if ev.kind == "O" else "O", -ev.sign)
-        if ev.chord == cid else ev
-        for ev in d.events
-    ))
+    return GaussDiagram(tuple(_switched(ev) if ev.chord == cid else ev for ev in d.events))
 
 
 def random_diagram(k: int, seed: int) -> GaussDiagram:
@@ -275,13 +262,7 @@ def random_diagram(k: int, seed: int) -> GaussDiagram:
     rng = random.Random(seed)
     positions = list(range(1, 2 * k + 1))
     rng.shuffle(positions)
-    chords = []
-    for i in range(k):
-        a, b = positions[2 * i], positions[2 * i + 1]
-        if rng.random() < 0.5:
-            a, b = b, a
-        chords.append((a, b, rng.choice((1, -1))))
-    return from_chord_positions(chords)
+    return _oriented(rng, zip(positions[::2], positions[1::2]))
 
 
 def random_nested_diagram(k: int, seed: int) -> GaussDiagram:
@@ -305,8 +286,14 @@ def random_nested_diagram(k: int, seed: int) -> GaussDiagram:
             count -= inner + 1
 
     fill(1, k)
+    return _oriented(rng, spans)
+
+
+def _oriented(rng, pairs) -> GaussDiagram:
+    """The diagram of chords on the position pairs, each drawn a uniform
+    direction and then a uniform sign."""
     chords = []
-    for a, b in spans:
+    for a, b in pairs:
         if rng.random() < 0.5:
             a, b = b, a
         chords.append((a, b, rng.choice((1, -1))))

@@ -16,7 +16,7 @@ from collections import defaultdict, namedtuple
 from dataclasses import dataclass
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram
-from .invariant import Invariant, compute_H, degree, index_polys, invariant_sub
+from .invariant import Invariant, compute_H, degree, index_polys
 from .zpoly import ReductionPolicy, reduce_poly
 
 __all__ = [
@@ -126,8 +126,7 @@ def reconstruct(dec: GordianDecomposition) -> Invariant:
 def gordian_lower_bound(d1: GaussDiagram, d2: GaussDiagram,
                         policy: ReductionPolicy = ReductionPolicy.QUOTIENT) -> int:
     """Max per-stratum bound for d_G(d1, d2); raises NotHomotopyForm."""
-    delta = invariant_sub(compute_H(d1, policy), compute_H(d2, policy))
-    return decompose(delta).bound
+    return decompose(compute_H(d1, policy) - compute_H(d2, policy)).bound
 
 
 def decomposition_json(dec: GordianDecomposition) -> dict:

@@ -26,28 +26,21 @@ include_n0 is set.  Crossing-change deltas and skein sums are signed sums of
 the same summand (t^P - 1) y^n, and Invariant.from_summands is the one place
 that turns summands into stored terms.
 
-H does not read the crossing rows, whose lengths sum to O(k^2) events:
-Ind_c^n sees a crossing chord only through its degree, sign and side, so
-one sweep of bitset sums fills one signed count of r(c) and one of l(c)
-per (chord, distinct degree) cell, and those cells reach Ind_c^n only
-through their (n, phi) class.  So the packed cells are summed into one
-count per (chord, class) before any is unpacked (_histogram_terms).
-_histogram_pays sends a small diagram, whose rows can be shorter, to the
-rows instead.  Either way _index_polys alone turns a chord's terms into
-its Ind_c^n, through the per-call class plans (_Plans) that it shares
-with the kernel.
+compute_H reads the crossing rows only for a small diagram
+(_histogram_pays); otherwise it counts each chord's crossings per (n, phi)
+class in one bitset sweep (_histogram_terms).  Either way _index_polys
+alone turns a chord's terms into its Ind_c^n.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from array import array
 from collections import defaultdict, namedtuple
 from itertools import compress
-from operator import sub
+from operator import eq, neg, sub
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram, _crossing_row
 from .zpoly import ReductionPolicy, ZPoly, _join_signed, reduce_exponent, reduce_poly
@@ -134,7 +127,8 @@ class Invariant:
     def __eq__(self, other):
         if not isinstance(other, Invariant):
             return NotImplemented
-        return invariant_equal(self, other)
+        _check_policy(self.policy, other)
+        return self.exp_terms == other.exp_terms and self.const_terms == other.const_terms
 
     def __hash__(self):
         return hash((self.policy,
@@ -145,10 +139,10 @@ class Invariant:
         return Invariant.signed_sum(self.policy, ((1, self), (1, other)))
 
     def __sub__(self, other):
-        return invariant_sub(self, other)
+        return Invariant.signed_sum(self.policy, ((1, self), (-1, other)))
 
     def __neg__(self):
-        return invariant_neg(self)
+        return Invariant.signed_sum(self.policy, ((-1, self),))
 
     def __repr__(self):
         return "Invariant(%s, %s)" % (self.policy.value, render(self))
@@ -160,17 +154,8 @@ def _check_policy(policy, h: Invariant):
                          % (policy.value, h.policy.value))
 
 
-def invariant_equal(a: Invariant, b: Invariant) -> bool:
-    _check_policy(a.policy, b)
-    return a.exp_terms == b.exp_terms and a.const_terms == b.const_terms
-
-
-def invariant_sub(a: Invariant, b: Invariant) -> Invariant:
-    return Invariant.signed_sum(a.policy, ((1, a), (-1, b)))
-
-
-def invariant_neg(a: Invariant) -> Invariant:
-    return Invariant.signed_sum(a.policy, ((-1, a),))
+# The operators under their public function names.
+invariant_equal, invariant_sub, invariant_neg = eq, sub, neg
 
 
 def nonzero_height_certificate(inv: Invariant) -> bool:
@@ -419,20 +404,14 @@ def _sorted_terms(inv: Invariant) -> list:
     return sorted(inv.exp_terms.items(), key=lambda kv: (kv[0].n, kv[0].m, kv[0].P.terms))
 
 
-_PLAIN_INT = re.compile(r"-?[0-9]+\Z")
-
-
 def _t_power(P: ZPoly) -> str:
-    s = str(P)
-    if s == "1":
+    if P.terms == ((0, 1),):
         return "t"
-    if s == "z" or _PLAIN_INT.match(s):
-        return "t^" + s
-    return "t^(" + s + ")"
+    return ("t^%s" if P.is_constant() or P.terms == ((1, 1),) else "t^(%s)") % P
 
 
 def _t_power_latex(P: ZPoly) -> str:
-    if P.is_constant() and P.constant_value() == 1:
+    if P.terms == ((0, 1),):
         return "t"
     return "t^{%s}" % P.latex()
 
@@ -489,8 +468,9 @@ def _json_int(obj, field, minimum=None) -> int:
 def invariant_from_json(text: str) -> Invariant:
     """Read invariant_to_json output; a term not in canonical form raises ValueError."""
     data = json.loads(text)
-    if not (isinstance(data, dict) and isinstance(data.get("terms"), list)
-            and isinstance(data.get("consts"), list)):
+    if not (isinstance(data, dict) and data.keys() == {"policy", "terms", "consts"}
+            and isinstance(data["policy"], str) and isinstance(data["terms"], list)
+            and isinstance(data["consts"], list)):
         raise ValueError('expected {"policy": ..., "terms": [...], "consts": [...]}')
     policy = ReductionPolicy(data["policy"])
     exp = {}
@@ -516,12 +496,16 @@ def invariant_from_json(text: str) -> Invariant:
         key = TermKey(n, m, P)
         if key in exp or not coeff:
             raise ValueError("duplicate or zero-coefficient term %r" % (t,))
+        if t.keys() != {"n", "m", "P", "coeff"}:
+            raise ValueError("term %r has a key other than n, m, P and coeff" % (t,))
         exp[key] = coeff
     const = {}
     for t in data["consts"]:
         n, coeff = _json_int(t, "n", 0), _json_int(t, "coeff")
         if n in const or not coeff:
             raise ValueError("duplicate or zero-coefficient constant %r" % (t,))
+        if t.keys() != {"n", "coeff"}:
+            raise ValueError("constant %r has a key other than n and coeff" % (t,))
         const[n] = coeff
     return Invariant(policy, exp, const)
 

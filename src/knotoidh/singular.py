@@ -13,8 +13,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .gauss import (SINGULAR, Event, GaussCodeError, GaussDiagram,
-                    crossing_change, random_diagram)
+from .gauss import SINGULAR, Event, GaussCodeError, GaussDiagram, random_diagram
 from .invariant import Invariant, compute_H
 from .zpoly import ReductionPolicy
 
@@ -55,8 +54,7 @@ def resolutions(d: GaussDiagram, cid: int):
     """(positive, negative) resolutions of one singular chord."""
     if d.chord(cid).sign != SINGULAR:
         raise GaussCodeError("chord %d is not singular" % cid)
-    plus = _resolve(d, {cid: 1})
-    return plus, crossing_change(plus, cid)
+    return _resolve(d, {cid: 1}), _resolve(d, {cid: -1})
 
 
 def singular_H(d: GaussDiagram,

@@ -98,8 +98,6 @@ class ZPoly:
         return self.scale(-1)
 
     def scale(self, k: int) -> "ZPoly":
-        if k == 0:
-            return ZPoly()
         return ZPoly(tuple((e, k * c) for e, c in self.terms))
 
     def subst_z_inverse(self) -> "ZPoly":

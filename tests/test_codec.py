@@ -26,7 +26,8 @@ _REF_TAGS = {"+": 1, "-": -1, "*": SINGULAR}
 
 
 def reference_parse(text):
-    """Per-token parser: split, match each token, resolve signs as tokens come."""
+    """Per-token parser: split, match each token, and give each chord the tag
+    of its first tagged token, which every later tag of the chord must match."""
     signs = {}
     entries = []
     for tok in text.split():
@@ -36,21 +37,12 @@ def reference_parse(text):
         kind, cid, tag = m.group(1), int(m.group(2)), m.group(3)
         if cid == 0:
             raise GaussCodeError("malformed token %r: chord ids start at 1" % tok)
-        if kind == "O":
-            if not tag:
-                raise GaussCodeError("token %r: O tokens need a sign or *" % tok)
-            if cid in signs and signs[cid] is not None and signs[cid] != _REF_TAGS[tag]:
-                raise GaussCodeError("chord %d: sign mismatch between O and U tokens" % cid)
-            signs[cid] = _REF_TAGS[tag]
-        elif tag:
-            prev = signs.get(cid)
-            if prev is not None and prev != _REF_TAGS[tag]:
-                raise GaussCodeError("chord %d: sign mismatch between O and U tokens" % cid)
-            signs.setdefault(cid, _REF_TAGS[tag])
-        else:
-            signs.setdefault(cid, None)
+        if kind == "O" and not tag:
+            raise GaussCodeError("token %r: O tokens need a sign or *" % tok)
+        if tag and signs.setdefault(cid, _REF_TAGS[tag]) != _REF_TAGS[tag]:
+            raise GaussCodeError("chord %d: sign mismatch between O and U tokens" % cid)
         entries.append((kind, cid))
-    unsigned = sorted(cid for cid, s in signs.items() if s is None)
+    unsigned = sorted({cid for _, cid in entries} - signs.keys())
     if unsigned:
         raise GaussCodeError("chord %d has no sign on either token" % unsigned[0])
     return GaussDiagram(tuple(Event(cid, kind, signs[cid]) for kind, cid in entries))

@@ -61,6 +61,9 @@ def test_singular_chords_parse_with_star():
     ("O1 U1", "sign"),
     ("X1+ U1+", "token"),
     ("O01+ U1+", "^malformed token 'O01\\+'$"),
+    ("U1 U1+", "^duplicate U token for chord 1$"),
+    ("U1 U1- O1+", "^chord 1: sign mismatch between O and U tokens$"),
+    ("U2 U1 U1+", "^chord 2 has no sign on either token$"),
 ])
 def test_malformed_codes_are_rejected(code, message):
     with pytest.raises(GaussCodeError, match=message):

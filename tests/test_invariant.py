@@ -221,6 +221,10 @@ def test_policy_mismatch_raises():
         compute_H(d, QUOT) + compute_H(d, LIT)
 
 
+def test_invariant_equal_is_false_against_a_non_invariant():
+    assert invariant_equal(compute_H(FIXTURES["2_2"]), object()) is False
+
+
 @given(sizes, seeds, sizes, seeds, policies)
 def test_addition_laws(k1, seed1, k2, seed2, policy):
     a = compute_H(random_diagram(k1, seed1), policy)
@@ -280,6 +284,8 @@ def test_json_keeps_modulus_zero_on_a_degree_zero_chord():
     ({"consts": [{"n": 1, "coeff": 0}]}, "duplicate or zero-coefficient constant"),
     ({"consts": [{"n": 1, "coeff": -1}, {"n": 1, "coeff": 1}]},
      "duplicate or zero-coefficient constant"),
+    ({"extra": 0}, "has a key other than n, m, P and coeff"),
+    ({"consts": [{"n": 1, "coeff": -1, "extra": 0}]}, "has a key other than n and coeff"),
 ])
 def test_json_rejects_noncanonical_input(overrides, message):
     term = {"n": 1, "m": 2, "P": [[1, 1]], "coeff": 1}
@@ -295,6 +301,8 @@ def test_json_rejects_noncanonical_input(overrides, message):
     "[]", '{"policy": "quotient", "consts": []}',
     '{"policy": "quotient", "terms": {}, "consts": []}',
     '{"policy": "quotient", "terms": [], "consts": null}',
+    '{"terms": [], "consts": []}',
+    '{"policy": "quotient", "terms": [], "consts": [], "extra": 0}',
 ])
 def test_json_rejects_a_malformed_document(text):
     with pytest.raises(ValueError, match="^expected"):
