@@ -23,8 +23,8 @@ from .moves import (BACKWARD, FIRST_NEGATIVE, FIRST_POSITIVE, FORWARD,
                     detect_r2, detect_r3, format_trace, inverse_spec,
                     parse_trace, r1_delete, r1_insert, r2_delete, r2_insert,
                     r3_apply, random_walk)
-from .singular import (make_singular, random_singular_diagram, resolutions,
-                       singular_H)
+from .singular import (MAX_SINGULAR, make_singular, random_singular_diagram,
+                       resolutions, singular_H)
 from .zpoly import ReductionPolicy, ZPoly, reduce_exponent, reduce_poly
 
 __version__ = "0.1.0"

@@ -14,6 +14,13 @@ An id is written in ASCII decimal without leading zeros, and the ids of a
 code must be exactly 1..k.  The empty code is the trivial diagram.  A
 code is read in one regular-expression scan; a rejected code raises
 GaussCodeError naming its first bad token in text order.
+
+The entries that take events from outside check them: `GaussDiagram(...)`,
+`parse_gauss_code`, `from_chord_positions` and `parse_gko`/`load_gko`.
+The library's own builders (the moves, `reverse`, `mirror`,
+`crossing_change` and the singular markings and resolutions) make valid
+events by construction and go through `GaussDiagram._built`, which does not
+check again; the tests check their output instead.
 """
 
 from __future__ import annotations
@@ -103,6 +110,13 @@ class GaussDiagram:
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
         _validate(self.events)
+
+    @classmethod
+    def _built(cls, events: tuple) -> GaussDiagram:
+        """A diagram on a tuple of events that a library builder made valid."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "events", events)
+        return d
 
     @property
     def k(self) -> int:
@@ -234,7 +248,7 @@ def serialize(d: GaussDiagram) -> str:
 
 def reverse(d: GaussDiagram) -> GaussDiagram:
     """Reverse the segment orientation: event order flips, signs stay."""
-    return GaussDiagram(tuple(reversed(d.events)))
+    return GaussDiagram._built(d.events[::-1])
 
 
 def _switched(ev: Event) -> Event:
@@ -244,15 +258,15 @@ def _switched(ev: Event) -> Event:
 
 def mirror(d: GaussDiagram) -> GaussDiagram:
     """Swap Over/Under at every crossing and negate all signs in place."""
-    return GaussDiagram(tuple(map(_switched, d.events)))
+    return GaussDiagram._built(tuple(map(_switched, d.events)))
 
 
 def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
     """Switch one crossing: flip the chord's direction and its sign."""
-    view = d.chord(cid)
-    if view.sign == SINGULAR:
+    if d.chord(cid).sign == SINGULAR:
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)
-    return GaussDiagram(tuple(_switched(ev) if ev.chord == cid else ev for ev in d.events))
+    return GaussDiagram._built(tuple(_switched(ev) if ev.chord == cid else ev
+                                     for ev in d.events))
 
 
 def random_diagram(k: int, seed: int) -> GaussDiagram:

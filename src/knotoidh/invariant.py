@@ -136,9 +136,13 @@ class Invariant:
                      frozenset(self.const_terms.items())))
 
     def __add__(self, other):
+        if not isinstance(other, Invariant):
+            return NotImplemented
         return Invariant.signed_sum(self.policy, ((1, self), (1, other)))
 
     def __sub__(self, other):
+        if not isinstance(other, Invariant):
+            return NotImplemented
         return Invariant.signed_sum(self.policy, ((1, self), (-1, other)))
 
     def __neg__(self):

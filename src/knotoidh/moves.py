@@ -19,9 +19,10 @@ import random
 from collections import namedtuple
 from collections.abc import Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 from types import MappingProxyType
 
-from .gauss import Event, GaussCodeError, GaussDiagram
+from .gauss import Event, GaussDiagram
 
 __all__ = [
     "MoveError",
@@ -149,27 +150,32 @@ def _r3_matches(events, variant, bases, roles, sides) -> bool:
                for side in sides)
 
 
-def _shift_ids(events, new_ids):
+def _relabel(events, new_id) -> tuple:
+    """events with chord c renamed new_id[c], or dropped where that is 0.
+
+    One list per call maps every old id; an event whose id stays is reused.
+    """
+    return tuple([ev if n == ev[0] else tuple.__new__(Event, (n, ev[1], ev[2]))
+                  for ev, n in zip(events, map(new_id.__getitem__, map(itemgetter(0), events)))
+                  if n])
+
+
+def _shift_ids(events, new_ids) -> tuple:
     """Relabel existing chords so ids in new_ids are free, order kept."""
-    out = []
-    for ev in events:
-        cid = ev.chord
-        for c in new_ids:
-            if cid >= c:
-                cid += 1
-        out.append(ev if cid == ev.chord else Event(cid, ev.kind, ev.sign))
-    return out
+    k = len(events) // 2
+    if min(new_ids) > k:  # no existing id moves
+        return events
+    return _relabel(events, [0] + [c for c in range(1, k + len(new_ids) + 1)
+                                   if c not in new_ids])
 
 
-def _drop_ids(events, dead):
-    dead = sorted(dead)
-    out = []
-    for ev in events:
-        if ev.chord in dead:
-            continue
-        cid = ev.chord - sum(1 for c in dead if c < ev.chord)
-        out.append(ev if cid == ev.chord else Event(cid, ev.kind, ev.sign))
-    return out
+def _drop_ids(events, dead) -> tuple:
+    """Remove the chords in dead and close up the ids, order kept."""
+    new_id, n = [0], 0
+    for c in range(1, len(events) // 2 + 1):
+        n += c not in dead
+        new_id.append(0 if c in dead else n)
+    return _relabel(events, new_id)
 
 
 def _check_gap(d, gap):
@@ -178,11 +184,10 @@ def _check_gap(d, gap):
 
 
 def _chord(d, name, cid):
-    try:
-        return d.chord(cid)
-    except GaussCodeError:
-        raise MoveError("param %r must be a chord id in 1..%d, got %d"
-                        % (name, d.k, cid)) from None
+    """cid, checked to be a chord id of d."""
+    if not 1 <= cid <= d.k:
+        raise MoveError("param %r must be a chord id in 1..%d, got %d" % (name, d.k, cid))
+    return cid
 
 
 def r1_insert(d: GaussDiagram, gap: int, direction: str = FORWARD,
@@ -197,16 +202,17 @@ def r1_insert(d: GaussDiagram, gap: int, direction: str = FORWARD,
     events = _shift_ids(d.events, (cid,))
     kinds = ("O", "U") if direction == FORWARD else ("U", "O")
     pair = (Event(cid, kinds[0], sign), Event(cid, kinds[1], sign))
-    return GaussDiagram(tuple(events[:gap]) + pair + tuple(events[gap:]))
+    return GaussDiagram._built(events[:gap] + pair + events[gap:])
 
 
 def r1_delete(d: GaussDiagram, cid: int) -> GaussDiagram:
     """Remove a kink: the chord's endpoints must be adjacent."""
     _check_call("r1_delete", cid=cid)
-    view = _chord(d, "cid", cid)
-    if abs(view.over_pos - view.under_pos) != 1:
+    _chord(d, "cid", cid)
+    over, under = d._table[:2]
+    if abs(over[cid] - under[cid]) != 1:
         raise MoveError("chord %d is not a kink (endpoints not adjacent)" % cid)
-    return GaussDiagram(tuple(_drop_ids(d.events, (cid,))))
+    return GaussDiagram._built(_drop_ids(d.events, (cid,)))
 
 
 def r2_insert(d: GaussDiagram, gap_a: int, gap_b: int,
@@ -230,26 +236,24 @@ def r2_insert(d: GaussDiagram, gap_a: int, gap_b: int,
     events = _shift_ids(d.events, tuple(sorted((ca, cb))))
     overs = (Event(ca, "O", sa), Event(cb, "O", -sa))
     unders = (Event(ca, "U", sa), Event(cb, "U", -sa))
-    return GaussDiagram(tuple(events[:gap_a]) + overs
-                        + tuple(events[gap_a:gap_b]) + unders
-                        + tuple(events[gap_b:]))
+    return GaussDiagram._built(events[:gap_a] + overs + events[gap_a:gap_b] + unders
+                               + events[gap_b:])
 
 
-def _r2_pattern(d: GaussDiagram, id1: int, id2: int):
-    """Return (first, second) chord views if the pair matches the poke image."""
-    va, vb = _chord(d, "id1", id1), _chord(d, "id2", id2)
-    if va.over_pos > vb.over_pos:
-        va, vb = vb, va
-    ok = (vb.over_pos == va.over_pos + 1
-          and vb.under_pos == va.under_pos + 1
-          and va.under_pos > vb.over_pos + 1
-          and va.sign in (1, -1) and va.sign == -vb.sign)
-    return (va, vb) if ok else None
+def _r2_pattern(table, id1: int, id2: int):
+    """Return the (first, second) chord ids if the pair matches the poke image."""
+    over, under, sign = table[:3]
+    a, b = (id1, id2) if over[id1] < over[id2] else (id2, id1)
+    ok = (over[b] == over[a] + 1
+          and under[b] == under[a] + 1
+          and under[a] > over[b] + 1
+          and sign[a] in (1, -1) and sign[a] == -sign[b])
+    return (a, b) if ok else None
 
 
 def _poke(d, id1, id2):
-    """The pair's (first, second) chord views; MoveError unless it is a poke."""
-    pat = _r2_pattern(d, id1, id2)
+    """The pair's (first, second) chord ids; MoveError unless it is a poke."""
+    pat = _r2_pattern(d._table, _chord(d, "id1", id1), _chord(d, "id2", id2))
     if pat is None:
         raise MoveError("chords %d,%d do not form a poke pair" % (id1, id2))
     return pat
@@ -259,17 +263,14 @@ def r2_delete(d: GaussDiagram, id1: int, id2: int) -> GaussDiagram:
     """Remove a poke pair; the exact r2_insert image is required."""
     _check_call("r2_delete", id1=id1, id2=id2)
     _poke(d, id1, id2)
-    return GaussDiagram(tuple(_drop_ids(d.events, (id1, id2))))
+    return GaussDiagram._built(_drop_ids(d.events, (id1, id2)))
 
 
 def detect_r2(d: GaussDiagram) -> list:
     """All deletable poke pairs as (first_id, second_id), position order."""
-    out = []
-    events = d.events
-    for ea, eb in zip(events, events[1:]):
-        if ea.kind == eb.kind == "O" and _r2_pattern(d, ea.chord, eb.chord):
-            out.append((ea.chord, eb.chord))
-    return out
+    events, table = d.events, d._table
+    return [(ea.chord, eb.chord) for ea, eb in zip(events, events[1:])
+            if ea.kind == eb.kind == "O" and _r2_pattern(table, ea.chord, eb.chord)]
 
 
 def detect_r3(d: GaussDiagram) -> list:
@@ -281,14 +282,14 @@ def detect_r3(d: GaussDiagram) -> list:
     """
     events = d.events
     top = len(events)
-    views = d.chords()
+    over = d._table.over
     out = []
     for p in range(1, top):  # left position of the low pair, 1-based
         ea, eb = events[p - 1], events[p]
         if ea.kind != "U" or eb.kind != "U" or ea.chord == eb.chord:
             continue
-        q = views[ea.chord].over_pos - 1
-        r = views[eb.chord].over_pos
+        q = over[ea.chord] - 1
+        r = over[eb.chord]
         if not (p + 1 < q and q + 1 < r and r + 1 <= top):
             continue
         if events[q - 1].chord != events[r].chord:  # role c1 at q and r+1
@@ -316,23 +317,31 @@ def r3_apply(d: GaussDiagram, config: R3Config) -> GaussDiagram:
     ev = list(d.events)
     for base in (p, q, r):
         ev[base - 1], ev[base] = ev[base], ev[base - 1]
-    return GaussDiagram(tuple(ev))
+    return GaussDiagram._built(tuple(ev))
 
 
 def _r1_delete_inverse(d, prm):
-    view = _chord(d, "cid", prm["cid"])
+    cid = _chord(d, "cid", prm["cid"])
+    over, under, sign = d._table[:3]
     return MoveSpec("r1_insert", {
-        "gap": min(view.over_pos, view.under_pos) - 1,
-        "direction": FORWARD if view.over_pos < view.under_pos else BACKWARD,
-        "sign": view.sign, "cid": prm["cid"]})
+        "gap": min(over[cid], under[cid]) - 1,
+        "direction": FORWARD if over[cid] < under[cid] else BACKWARD,
+        "sign": sign[cid], "cid": cid})
 
 
 def _r2_delete_inverse(d, prm):
     first, second = _poke(d, prm["id1"], prm["id2"])
+    over, under, sign = d._table[:3]
     return MoveSpec("r2_insert", {
-        "gap_a": first.over_pos - 1, "gap_b": first.under_pos - 3,
-        "assignment": FIRST_POSITIVE if first.sign == 1 else FIRST_NEGATIVE,
-        "cids": (first.id, second.id)})
+        "gap_a": over[first] - 1, "gap_b": under[first] - 3,
+        "assignment": FIRST_POSITIVE if sign[first] == 1 else FIRST_NEGATIVE,
+        "cids": (first, second)})
+
+
+def _kinks(d):
+    """The ids of the chords whose endpoints are adjacent, in id order."""
+    over, under = d._table[:2]
+    return [c for c in range(1, d.k + 1) if abs(over[c] - under[c]) == 1]
 
 
 def _r2_insert_sites(d):
@@ -373,9 +382,7 @@ _MOVES = {
                                                  "sign": (1, -1)[i % 2]})),
     "r1_delete": _Move(
         {"cid": (int, ...)}, r1_delete, _r1_delete_inverse,
-        _listed(lambda d: [v.id for v in d.chords().values()
-                           if abs(v.over_pos - v.under_pos) == 1],
-                lambda cid: {"cid": cid})),
+        _listed(_kinks, lambda cid: {"cid": cid})),
     "r2_insert": _Move(
         {"gap_a": (int, ...), "gap_b": (int, ...),
          "assignment": ((FIRST_POSITIVE, FIRST_NEGATIVE), FIRST_POSITIVE),

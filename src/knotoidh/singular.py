@@ -18,20 +18,24 @@ from .invariant import Invariant, compute_H
 from .zpoly import ReductionPolicy
 
 __all__ = [
+    "MAX_SINGULAR",
     "make_singular",
     "resolutions",
     "singular_H",
     "random_singular_diagram",
 ]
 
+# The most singular chords that singular_H resolves; see its docstring.
+MAX_SINGULAR = 12
+
 
 def make_singular(d: GaussDiagram, ids) -> GaussDiagram:
     """Mark the given chords as singular, keeping their directions."""
     ids = set(ids)
-    missing = ids - set(d.chords())
+    missing = ids - set(range(1, d.k + 1))
     if missing:
         raise GaussCodeError("no chord with id %d" % min(missing))
-    return GaussDiagram(tuple(
+    return GaussDiagram._built(tuple(
         Event(ev.chord, ev.kind, SINGULAR) if ev.chord in ids else ev
         for ev in d.events))
 
@@ -47,7 +51,7 @@ def _resolve(d: GaussDiagram, choices: dict) -> GaussDiagram:
             events.append(Event(ev.chord, ev.kind, 1))
         else:
             events.append(Event(ev.chord, "U" if ev.kind == "O" else "O", -1))
-    return GaussDiagram(tuple(events))
+    return GaussDiagram._built(tuple(events))
 
 
 def resolutions(d: GaussDiagram, cid: int):
@@ -60,8 +64,17 @@ def resolutions(d: GaussDiagram, cid: int):
 def singular_H(d: GaussDiagram,
                policy: ReductionPolicy = ReductionPolicy.QUOTIENT,
                include_n0: bool = False) -> Invariant:
-    """Alternating sum of H over all full resolutions of d."""
+    """Alternating sum of H over all full resolutions of d.
+
+    The sum has 2^s terms, each a full compute_H.  At s = MAX_SINGULAR = 12
+    and k = 30 that is 4096 calls and 2.7 to 4 s (Python 3.11.7, 2 CPUs).
+    A diagram with more singular chords raises GaussCodeError before any is
+    resolved.
+    """
     ids = d.singular_ids()
+    if len(ids) > MAX_SINGULAR:
+        raise GaussCodeError("singular_H resolves at most %d singular chords, got %d"
+                             % (MAX_SINGULAR, len(ids)))
     return Invariant.signed_sum(policy, (
         ((-1) ** assignment.count(-1),
          compute_H(_resolve(d, dict(zip(ids, assignment))), policy, include_n0))

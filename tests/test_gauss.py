@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotoidh.gauss import (
+    Event,
     GaussCodeError,
+    GaussDiagram,
     bundled_diagrams,
     crossing_change,
     from_chord_positions,
+    load_gko,
     mirror,
     parse_gauss_code,
     parse_gko,
@@ -98,6 +101,33 @@ def test_from_chord_positions():
     assert serialize(d) == "O1+ O2- U1+ U2-"
     with pytest.raises(GaussCodeError):
         from_chord_positions([(1, 1, 1)])
+
+
+def test_outside_entries_check_the_events(tmp_path):
+    # the library's own builders skip this check; every entry from outside keeps it
+    gko = tmp_path / "bad.gko"
+
+    def from_events(code):  # every token of these codes is on chord 1 with sign +
+        return GaussDiagram(tuple(Event(1, token[0], 1) for token in code.split()))
+
+    def from_file(code):
+        gko.write_text("a: " + code)
+        return load_gko(gko)
+
+    for make, where in ((from_events, ""), (parse_gauss_code, ""),
+                        (lambda code: parse_gko("a: " + code), "line 1 (a): "),
+                        (from_file, "line 1 (a): ")):
+        for code, message in (("O1+ U1+ O1+", "duplicate O token for chord 1"),
+                              ("O1+", "chord 1 is missing its U token")):
+            with pytest.raises(GaussCodeError) as exc:
+                make(code)
+            assert str(exc.value) == where + message
+    for chords in ([(1, 2, 1), (1, 3, 1)], [(1, 3, 1)]):  # a repeated O, a missing U
+        with pytest.raises(GaussCodeError) as exc:
+            from_chord_positions(chords)
+        assert str(exc.value) == "endpoint positions must be a permutation of 1..2k"
+    with pytest.raises(GaussCodeError, match="^chord 1 has sign 5$"):
+        from_chord_positions([(1, 2, 5)])
 
 
 @given(sizes, seeds)

@@ -225,6 +225,13 @@ def test_invariant_equal_is_false_against_a_non_invariant():
     assert invariant_equal(compute_H(FIXTURES["2_2"]), object()) is False
 
 
+def test_arithmetic_with_a_non_invariant_raises_type_error():
+    h = compute_H(FIXTURES["2_2"])
+    for combine in (lambda: h + 1, lambda: h - 1, lambda: invariant_sub(h, object())):
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            combine()
+
+
 @given(sizes, seeds, sizes, seeds, policies)
 def test_addition_laws(k1, seed1, k2, seed2, policy):
     a = compute_H(random_diagram(k1, seed1), policy)

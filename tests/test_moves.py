@@ -4,11 +4,22 @@ import dataclasses
 import hashlib
 import json
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotoidh.gauss import parse_gauss_code, random_diagram, serialize
+from knotoidh import singular
+from knotoidh.gauss import (
+    GaussDiagram,
+    _validate,
+    crossing_change,
+    mirror,
+    parse_gauss_code,
+    random_diagram,
+    reverse,
+    serialize,
+)
 from knotoidh.invariant import compute_H, degree
 from knotoidh.moves import (
     BACKWARD,
@@ -31,7 +42,9 @@ from knotoidh.moves import (
     r2_insert,
     r3_apply,
     random_walk,
+    _MOVES,
 )
+from knotoidh.singular import make_singular, resolutions
 from knotoidh.zpoly import ReductionPolicy
 
 QUOT = ReductionPolicy.QUOTIENT
@@ -178,6 +191,101 @@ def test_trace_survives_json(k, seed):
     for spec in parse_trace(format_trace(trace)):
         replayed = apply_move(replayed, spec)
     assert replayed == w
+
+
+def assert_valid(d):
+    """d passes the check that the library's own builders skip."""
+    _validate(d.events)
+    assert type(d.events) is tuple and d == GaussDiagram(d.events)
+
+
+starts = st.one_of(st.builds(random_diagram, st.integers(min_value=0, max_value=6), seeds),
+                   st.builds(spectatored, st.sampled_from([CORE_3A, CORE_3A_PRIME]), seeds))
+
+
+@settings(deadline=None, max_examples=25)
+@given(starts, seeds)
+def test_library_builders_make_valid_diagrams(d, seed):
+    for kind in MOVE_KINDS:
+        count, pick = _MOVES[kind].sites(d)
+        for i in range(count):
+            spec = MoveSpec(kind, pick(i))
+            moved = apply_move(d, spec)
+            assert_valid(moved)
+            back = apply_move(moved, inverse_spec(d, spec))
+            assert_valid(back)
+            assert back == d
+    w = d
+    for step, allowed in enumerate((None, ("r1_delete", "r2_delete", "r3")) * 4):
+        w = random_walk(w, 1, seed + step, allowed)
+        assert_valid(w)
+    for image in (reverse(d), mirror(d), *(crossing_change(d, c) for c in range(1, d.k + 1))):
+        assert_valid(image)
+    s = make_singular(d, random.Random(seed).sample(range(1, d.k + 1), min(d.k, 3)))
+    assert_valid(s)
+    ids = s.singular_ids()
+    for cid in ids:
+        for image in resolutions(s, cid):
+            assert_valid(image)
+    for assignment in product((1, -1), repeat=len(ids)):  # the terms of singular_H
+        assert_valid(singular._resolve(s, dict(zip(ids, assignment))))
+
+
+def brute_r2(d):
+    """Poke pairs from the chord views: Over endpoints adjacent, then Under
+    endpoints adjacent in the same order with something between the two
+    pairs, and opposite nonsingular signs."""
+    views = d.chords().values()
+    return sorted(((a.id, b.id) for a in views for b in views
+                   if b.over_pos == a.over_pos + 1 and b.under_pos == a.under_pos + 1
+                   and a.under_pos > b.over_pos + 1 and a.sign in (1, -1)
+                   and b.sign == -a.sign),
+                  key=lambda pair: d.chord(pair[0]).over_pos)
+
+
+# signs of roles (c1, c2, c3) and the six endpoints of the pairwise-crossing
+# side in position order, as in CORE_3A and CORE_3A_PRIME
+TRIANGLES = {"3a": ((1, -1, 1), "U3 U2 U1 O3 O2 O1"),
+             "3a_prime": ((1, 1, -1), "U3 U2 O1 O3 O2 U1")}
+
+
+def brute_r3(d):
+    """R3 sites from the chord views, over every ordered triple of chords."""
+    views = d.chords()
+    out = []
+    for variant, (signs, layout) in TRIANGLES.items():
+        for roles in product(views, repeat=3):
+            if len(set(roles)) < 3 or [views[c].sign for c in roles] != list(signs):
+                continue
+            pos = [getattr(views[roles[int(token[1]) - 1]],
+                           "over_pos" if token[0] == "O" else "under_pos")
+                   for token in layout.split()]
+            if (pos[1] == pos[0] + 1 and pos[3] == pos[2] + 1 and pos[5] == pos[4] + 1
+                    and pos[0] + 1 < pos[2] and pos[2] + 1 < pos[4]):
+                out.append(R3Config(variant, tuple(pos[::2]), roles))
+    return sorted(out, key=lambda c: (c.bases, c.variant))
+
+
+@settings(deadline=None)
+@given(starts, seeds, st.integers(min_value=0, max_value=4))
+def test_site_scans_match_brute_force(d, seed, grow):
+    d = random_walk(d, grow, seed, ("r1_insert", "r2_insert"))
+    for e in (d, *(r3_apply(d, c) for c in detect_r3(d))):
+        assert detect_r2(e) == brute_r2(e)
+        assert detect_r3(e) == brute_r3(e)
+        count, pick = _MOVES["r1_delete"].sites(e)
+        assert [pick(i)["cid"] for i in range(count)] == \
+            [c for c, v in e.chords().items() if abs(v.over_pos - v.under_pos) == 1]
+
+
+def test_site_scans_on_the_cores():
+    pokes = triangles = 0
+    for core in (CORE_3A, CORE_3A_PRIME):
+        for d in (core, *(spectatored(core, seed) for seed in range(10))):
+            assert detect_r2(d) == brute_r2(d)
+            assert detect_r3(d) == brute_r3(d)
+            pokes, triangles = pokes + len(detect_r2(d)), triangles + len(detect_r3(d))
+    assert pokes > 0 and triangles > 2  # some spectators leave the triangle whole
 
 
 WALK_PIN = "766c84d4548815a02f0595cb91d755b11510508a8f18328936bf93621b35a59f"

@@ -11,7 +11,9 @@ from knotoidh.gauss import (
     serialize,
 )
 from knotoidh.invariant import Invariant, TermKey, compute_H, degree, render
+from knotoidh import singular
 from knotoidh.singular import (
+    MAX_SINGULAR,
     make_singular,
     random_singular_diagram,
     resolutions,
@@ -73,6 +75,23 @@ def test_witness_singular_invariant():
 def test_singular_H_requires_a_singular_chord():
     d = random_diagram(3, 1)
     assert singular_H(d) == compute_H(d)
+
+
+def test_singular_H_bounds_the_number_of_singular_chords(monkeypatch):
+    calls = []
+
+    def counted(d, policy, include_n0):
+        calls.append(d)
+        return Invariant(policy, {}, {})
+
+    monkeypatch.setattr(singular, "compute_H", counted)
+    over = random_singular_diagram(MAX_SINGULAR + 2, MAX_SINGULAR + 1, 5)
+    with pytest.raises(GaussCodeError, match="^singular_H resolves at most %d singular "
+                                             "chords, got %d$" % (MAX_SINGULAR, MAX_SINGULAR + 1)):
+        singular_H(over)
+    assert calls == []
+    assert singular_H(random_singular_diagram(MAX_SINGULAR + 2, MAX_SINGULAR, 5)).is_zero()
+    assert len(calls) == 2 ** MAX_SINGULAR
 
 
 @settings(deadline=None)
