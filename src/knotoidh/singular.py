@@ -31,10 +31,7 @@ MAX_SINGULAR = 12
 
 def make_singular(d: GaussDiagram, ids) -> GaussDiagram:
     """Mark the given chords as singular, keeping their directions."""
-    ids = set(ids)
-    missing = ids - set(range(1, d.k + 1))
-    if missing:
-        raise GaussCodeError("no chord with id %d" % min(missing))
+    ids = {d.chord(cid).id for cid in ids}
     return GaussDiagram._built(tuple(
         Event(ev.chord, ev.kind, SINGULAR) if ev.chord in ids else ev
         for ev in d.events))

@@ -18,11 +18,14 @@ criterion 10's diagram.
 import hashlib
 import math
 import random
+import re
 
 import pytest
 
 from knotoidh import gauss, invariant
 from knotoidh.gauss import (
+    GaussCodeError,
+    crossing_change,
     from_chord_positions,
     parse_gauss_code,
     random_diagram,
@@ -30,6 +33,7 @@ from knotoidh.gauss import (
     serialize,
 )
 from knotoidh.gordian import crossing_change_delta
+from knotoidh.singular import make_singular, resolutions
 from knotoidh.invariant import (
     Invariant,
     TermKey,
@@ -209,11 +213,10 @@ def both_paths(d, policy, include_n0):
     """H from crossing-row terms and H from histogram terms, both through the one tail."""
     table = d._table
     rows = ((c, gauss._crossing_row(table, c)) for c in range(1, d.k + 1))
-    plans = invariant._Plans(policy), invariant._Plans(policy)
-    sources = invariant._row_terms(table, rows), invariant._histogram_terms(table, plans[1])
+    sources = invariant._row_terms(table, rows), invariant._histogram_terms(table, policy)
     return [Invariant.from_summands(policy,
-                                    invariant._index_polys(table, terms, plan, include_n0))
-            for terms, plan in zip(sources, plans)]
+                                    invariant._index_polys(table, terms, policy, include_n0))
+            for terms in sources]
 
 
 # Past 127 chords of one degree (nested diagrams, nested hubs) the kernel's
@@ -294,10 +297,9 @@ def test_class_columns_match_the_rows_through_the_one_tail():
     for d in diagrams:
         hit |= merge_rules(d)
         for policy in POLICIES:
-            plans = invariant._Plans(policy)
-            for c, terms in invariant._histogram_terms(d._table, plans):
+            for c, terms in invariant._histogram_terms(d._table, policy):
                 terms = list(terms)  # one term per class, none zero
-                classes = [plans[abs(d._table.degree[c])][D] for D, _ in terms]
+                classes = [invariant._plan(abs(d._table.degree[c]), policy)[D] for D, _ in terms]
                 assert len(set(classes)) == len(classes) and all(s for _, s in terms)
             for include_n0 in (False, True):
                 rows, histogram = both_paths(d, policy, include_n0)
@@ -305,6 +307,33 @@ def test_class_columns_match_the_rows_through_the_one_tail():
                 assert rows.const_terms == histogram.const_terms
                 assert render(rows, "json") == render(histogram, "json")
     assert hit == {"literal tie", "cancelling cell", "degree 0", "n = 0", "wide count"}
+
+
+def test_plans_kept_across_calls_keep_the_policies_apart():
+    """Quotient and Literal, alternated on the same moduli, each against brute force.
+
+    The first two diagrams hold terms at D = m/2 and D = -m/2 in one class,
+    which only Quotient merges; the rows read the first, the kernel the rest.
+    """
+    diagrams = [random_diagram(7, 0), random_diagram(26, 0), block_hub_diagram(20, 0)]
+    assert all("literal tie" in merge_rules(d) for d in diagrams[:2])
+    assert [invariant._histogram_pays(d._table) for d in diagrams] == [False, True, True]
+    invariant._plan.cache_clear()
+    for _ in range(2):
+        for d in diagrams:
+            brute_check(d)
+
+
+def test_plans_kept_across_calls_give_H_in_any_order():
+    diagrams = [random_diagram(k, seed) for k in (4, 9, 12, 30, 60) for seed in range(2)]
+    diagrams += [hub_diagram(40, 0), block_hub_diagram(20, 1)]
+    assert {invariant._histogram_pays(d._table) for d in diagrams} == {False, True}
+    invariant._plan.cache_clear()
+    first = [[render(compute_H(d, policy), "json") for policy in POLICIES] for d in diagrams]
+    invariant._plan.cache_clear()
+    again = [[render(compute_H(d, policy), "json") for policy in POLICIES[::-1]][::-1]
+             for d in diagrams[::-1]][::-1]
+    assert again == first
 
 
 # SHA-256 of render(compute_H(random_diagram(1000, 97), policy), "json"), recorded
@@ -370,3 +399,17 @@ def test_chords_mapping_is_read_only():
     with pytest.raises(TypeError):
         del views[1]
     assert d.chord(1) == views[1] and sorted(views) == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("bad", ["x", 1.0, True, 0, 5])  # 5 is k + 1
+def test_one_chord_id_rule(bad):
+    """An id that is not an int in 1..k, or is a bool, is named in a GaussCodeError."""
+    d = random_diagram(4, 1)
+    policy = ReductionPolicy.QUOTIENT
+    for call in (lambda: d.chord(bad), lambda: degree(d, bad),
+                 lambda: crossing_partition(d, bad), lambda: index_polys(d, bad, policy),
+                 lambda: index_function(d, bad, 1, policy), lambda: crossing_change(d, bad),
+                 lambda: crossing_change_delta(d, bad), lambda: resolutions(d, bad),
+                 lambda: make_singular(d, [bad])):
+        with pytest.raises(GaussCodeError, match="^no chord with id %s$" % re.escape(repr(bad))):
+            call()

@@ -9,7 +9,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotoidh import singular
+from knotoidh import moves, singular
 from knotoidh.gauss import (
     GaussDiagram,
     _validate,
@@ -315,6 +315,18 @@ def test_walk_respects_allowed_kinds():
     assert {s.kind for s in trace} <= {"r1_insert", "r1_delete"}
     with pytest.raises(MoveError, match="unknown"):
         random_walk(d, 1, seed=0, allowed=("r9",))
+
+
+def test_walk_looks_the_site_scans_up_when_called(monkeypatch):
+    """A wrapper bound to moves.detect_r2 or moves.detect_r3 sees one scan per step."""
+    calls = []
+    for name in ("detect_r2", "detect_r3"):
+        def counted(d, scan=getattr(moves, name), name=name):
+            calls.append(name)
+            return scan(d)
+        monkeypatch.setattr(moves, name, counted)
+    random_walk(random_diagram(30, 4), 3, seed=11)
+    assert calls == ["detect_r2", "detect_r3"] * 3
 
 
 def test_walk_rejects_a_string_for_allowed():
