@@ -15,7 +15,7 @@ import argparse
 import json
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .gauss import (GaussCodeError, bundled_diagrams, crossing_change,
                     load_gko, mirror, parse_gauss_code, random_diagram,
@@ -193,6 +193,7 @@ def _cmd_selftest(args) -> int:
     return 0 if report["ok"] else 1
 
 
+@cache  # built on the first main call and kept: parse_args fills a fresh namespace per call
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="knotoidh",

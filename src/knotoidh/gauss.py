@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 from importlib import resources
 from itertools import compress, repeat
+from operator import itemgetter
 from types import MappingProxyType
 
 __all__ = [
@@ -90,6 +91,13 @@ def _validate(events):
         if ev.kind in slot:
             raise GaussCodeError("duplicate %s token for chord %d" % (ev.kind, ev.chord))
         slot[ev.kind] = ev
+    # An equal float or bool passes the checks by value; one type scan per column.
+    if not {int}.issuperset(map(type, seen)):
+        cid = next(c for c in seen if type(c) is not int)
+        raise GaussCodeError("chord id %r is not an int" % (cid,))
+    if not {int}.issuperset(map(type, map(itemgetter(2), events))):
+        ev = next(ev for ev in events if type(ev.sign) is not int)
+        raise GaussCodeError("chord %d has sign %r, not an int" % (ev.chord, ev.sign))
     for cid, slot in seen.items():
         if len(slot) != 2:
             raise GaussCodeError("chord %d is missing its %s token"

@@ -59,7 +59,7 @@ def crossing_change_delta(d: GaussDiagram, cid: int,
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)
     m = abs(degree(d, cid))
     return Invariant.from_summands(policy, (
-        (n, m, P, eps) for n, ind in index_polys(d, cid, policy).items() if n
+        (n, m, P.terms, eps) for n, ind in index_polys(d, cid, policy).items() if n
         for P in (ind, _partner(ind, m, policy))))
 
 
@@ -120,7 +120,7 @@ def decompose(delta: Invariant) -> GordianDecomposition:
 def reconstruct(dec: GordianDecomposition) -> Invariant:
     """Invariant equal to the decomposed difference, bit for bit."""
     return Invariant.from_summands(dec.policy, (
-        (n, m, Q, a) for n, m, P, a in dec.pairs for Q in (P, _partner(P, m, dec.policy))))
+        (n, m, Q.terms, a) for n, m, P, a in dec.pairs for Q in (P, _partner(P, m, dec.policy))))
 
 
 def gordian_lower_bound(d1: GaussDiagram, d2: GaussDiagram,

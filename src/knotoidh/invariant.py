@@ -28,10 +28,14 @@ that turns summands into stored terms.
 
 compute_H reads the crossing rows only for a small diagram
 (_histogram_pays); otherwise it counts each chord's crossings per (n, phi)
-class in one bitset sweep (_histogram_terms).  Either way _index_polys
-alone turns a chord's terms into its Ind_c^n.  The class and reduced
-exponent of a term depend only on |d(c)|, the term's degree and the
-policy, so they are found once per process and kept, one plan per
+class in one bitset sweep (_histogram_cells).  Either source hands each
+chord's class cells ((n, phi), count) on sorted by (n, phi), one per class
+and none zero, and _index_polys alone turns them into Ind_c^n: a run of
+equal n is already its sorted term tuple.  from_summands sums the signs
+per (n, m, P) before it builds anything, so H gets one ZPoly per distinct
+exponent polynomial, shared by every term that has it.  The class and
+reduced exponent of a crossing depend only on |d(c)|, its signed degree
+and the policy, so they are found once per process and kept, one plan per
 (|d(c)|, policy), for every later call (_plan).
 """
 
@@ -44,7 +48,7 @@ from array import array
 from collections import defaultdict, namedtuple
 from functools import lru_cache
 from itertools import compress
-from operator import eq, neg, sub
+from operator import eq, itemgetter, neg, sub
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram, _crossing_row
 from .zpoly import ReductionPolicy, ZPoly, _join_signed, reduce_exponent, reduce_poly
@@ -79,7 +83,7 @@ TermKey = namedtuple("TermKey", ["n", "m", "P"])
 _CELL_COST = 1.8
 _KERNEL_SETUP = 160
 
-# Bytes of a signed bitset field -> its array typecode; see _histogram_terms.
+# Bytes of a signed bitset field -> its array typecode; see _histogram_cells.
 _FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
@@ -103,14 +107,24 @@ class Invariant:
     def from_summands(cls, policy, items):
         """Sum of s (t^P - 1) y^n over items (n, m, P, s), P reduced mod m.
 
-        A zero P adds nothing, since t^0 - 1 = 0.
+        P is given by its terms, sorted as in ZPoly.terms.  The signs are
+        summed per (n, m, P) first, so each distinct P becomes one ZPoly and
+        each nonzero stored term one TermKey.  A zero P adds nothing, since
+        t^0 - 1 = 0.
         """
-        exp, const = {}, {}
+        sums = {}
         for n, m, P, s in items:
             if P:
-                key = TermKey(n, 0 if P.is_constant() else m, P)
-                exp[key] = exp.get(key, 0) + s
-                const[n] = const.get(n, 0) - s
+                key = n, m if len(P) > 1 or P[0][0] else 0, P  # m is 0 for a constant P
+                sums[key] = sums.get(key, 0) + s
+        polys, exp, const = {}, {}, {}
+        for (n, m, P), s in sums.items():
+            const[n] = const.get(n, 0) - s
+            if s:
+                poly = polys.get(P)
+                if poly is None:
+                    poly = polys[P] = ZPoly(dict(P))  # distinct exponents: nothing to merge
+                exp[TermKey(n, m, poly)] = s
         return cls(policy, exp, const)
 
     @classmethod
@@ -174,11 +188,11 @@ def nonzero_height_certificate(inv: Invariant) -> bool:
 class _Plan(dict):
     """D -> (n, phi(D)) for the chords c of one modulus m = |d(c)|, found on first use.
 
-    Term D of such a chord joins class n = gcd(m, D) with exponent phi(D),
-    D reduced mod m under the policy.  This is the only place that finds
-    them.  A cell depends on m, D and the policy alone, never on the
-    diagram, so _plan hands out one plan per (m, policy) that every call
-    shares.
+    A crossing of signed degree D counts in class n = gcd(m, D) with
+    exponent phi(D), D reduced mod m under the policy.  This is the only
+    place that finds them.  An entry depends on m, D and the policy alone,
+    never on the diagram, so _plan hands out one plan per (m, policy) that
+    every call shares.
     """
 
     __slots__ = ("m", "policy")
@@ -201,36 +215,44 @@ _PLAN_CACHE_SIZE = 256
 _plan = lru_cache(maxsize=_PLAN_CACHE_SIZE)(_Plan)
 
 
-def _index_polys(table, chord_terms, policy, include_n0):
-    """The summands (n, |d(c)|, Ind_c^n, sgn(c)) of H, from (c, terms of c) pairs.
+def _index_polys(table, chord_cells, include_n0):
+    """H's summands (n, |d(c)|, terms of Ind_c^n, sgn(c)) from (c, class cells of c) pairs.
 
-    A term is a (signed degree, signed count) pair: e in r(c) is (d(e), sgn(e)),
-    e in l(c) is (-d(e), -sgn(e)), a cell is (D, r_c(D)) and (-D, -l_c(D)).
-    Term (D, s) adds s z^phi(D) to class n, (n, phi(D)) = _plan(|d(c)|, policy)[D].
+    A class cell ((n, phi), count) adds count z^phi to Ind_c^n.  The cells
+    of c come sorted by (n, phi), one per class and none zero, so each run
+    of equal n already is Ind_c^n's sorted (exponent, coefficient) tuple.
     Class 0 needs include_n0.
     """
     sign, deg = table.sign, table.degree
-    for c, terms in chord_terms:
-        m = abs(deg[c])
-        plan = _plan(m, policy)
-        buckets = {}
-        for D, s in terms:
-            n, e = plan[D]
-            poly = buckets.get(n)
-            if poly is None:
-                poly = buckets[n] = {}
-            poly[e] = poly.get(e, 0) + s
-        if not include_n0:
-            buckets.pop(0, None)
-        for n, poly in buckets.items():
-            yield n, m, ZPoly(poly), sign[c]
+    for c, cells in chord_cells:
+        m, s, last = abs(deg[c]), sign[c], None
+        for (n, phi), count in cells:
+            if n != last:
+                if last is not None and (last or include_n0):
+                    yield last, m, tuple(run), s
+                run, last = [], n
+            run.append((phi, count))
+        if last is not None and (last or include_n0):
+            yield last, m, tuple(run), s
 
 
-def _row_terms(table, rows):
-    """(c, terms of c) for each (c, crossing row of c) pair, one term per chord in the row."""
+def _row_cells(table, rows, policy):
+    """(c, class cells of c) for each (c, crossing row of c) pair.
+
+    e in r(c) adds sgn(e) to the cell of its degree D = d(e), e in l(c)
+    adds -sgn(e) to that of D = -d(e); the cell is the class
+    _plan(|d(c)|, policy)[D] = (n, phi(D)).
+    """
     deg, sign = table.degree, table.sign
     for c, row in rows:
-        yield c, [(deg[e], sign[e]) if in_r else (-deg[e], -sign[e]) for e, in_r in row]
+        plan, cells = _plan(abs(deg[c]), policy), {}
+        for e, in_r in row:
+            if in_r:
+                key, s = plan[deg[e]], sign[e]
+            else:
+                key, s = plan[-deg[e]], -sign[e]
+            cells[key] = cells.get(key, 0) + s
+        yield c, sorted(filter(itemgetter(1), cells.items()))
 
 
 def degree(d: GaussDiagram, cid: int) -> int:
@@ -257,8 +279,12 @@ def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
     row = _crossing_row(table, cid)
     for e, _ in row:
         degree(d, e)  # raises where a singular chord leaves d(e) undefined
-    summands = _index_polys(table, _row_terms(table, [(cid, row)]), policy, True)
-    return {n: P for n, _, P, _ in summands}
+    plan = _plan(abs(table.degree[cid]), policy)
+    # Every class of the row; one whose cells all cancel keeps ZPoly().
+    polys = dict.fromkeys((plan[table.degree[e]][0] for e, _ in row), ZPoly())
+    for n, _, P, _ in _index_polys(table, _row_cells(table, [(cid, row)], policy), True):
+        polys[n] = ZPoly(P)
+    return polys
 
 
 def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -> ZPoly:
@@ -266,8 +292,8 @@ def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -
     return index_polys(d, cid, policy).get(n, ZPoly())
 
 
-def _histogram_terms(table, policy):
-    """(c, terms of c) for every chord c, one term per nonzero (n, phi) class cell of c.
+def _histogram_cells(table, policy):
+    """(c, class cells of c) for every chord c, as _row_cells gives them.
 
     Ind_c^n sees a crossing chord e only through d(e), sgn(e) and its side,
     so for each distinct degree D it needs r_c(D) and l_c(D): the signed
@@ -284,9 +310,8 @@ def _histogram_terms(table, policy):
     for every chord of one |d(c)|.  So the fields of each |d(c)| lie side by
     side, and one add per (|d(c)|, signed degree) sums that slice of the
     packed cells into a packed column per class before anything is
-    unpacked.  A chord's terms are its nonzero class cells, each as (a
-    degree of the class, its count), which the plan maps back to the same
-    class.
+    unpacked.  The classes of a group are sorted once, so every chord's
+    nonzero cells come out in (n, phi) order.
     """
     over, under, sign, deg, at, mate = table
     k = len(sign) - 1
@@ -345,15 +370,16 @@ def _histogram_terms(table, policy):
         plan, stop = _plan(m, policy), start + len(group) * width
         cell_bias = int.from_bytes((unit + bytes(width - narrow)) * len(group), "little")
         class_bias = int.from_bytes((bytes(width - 1) + b"\x80") * len(group), "little")
-        rep, sums = {}, {}  # (n, phi) -> its first degree; that degree -> packed class column
+        sums = {}  # (n, phi) -> packed class column
         for D, column in columns:
-            r = rep.setdefault(plan[D], D)
-            sums[r] = sums.get(r, class_bias) + int.from_bytes(column[start:stop], "little") - cell_bias
+            key = plan[D]
+            sums[key] = (sums.get(key, class_bias)
+                         + int.from_bytes(column[start:stop], "little") - cell_bias)
         start = stop
-        keys, rows = list(sums), []
-        for total in sums.values():
+        keys, rows = sorted(sums), []
+        for key in keys:
             counts = array(_FIELD_CODES[width])
-            counts.frombytes((total ^ class_bias).to_bytes(len(group) * width, "little"))
+            counts.frombytes((sums[key] ^ class_bias).to_bytes(len(group) * width, "little"))
             if sys.byteorder == "big":
                 counts.byteswap()
             rows.append(counts)
@@ -382,9 +408,10 @@ def compute_H(d: GaussDiagram,
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
     table = d._table
-    chord_terms = (_histogram_terms(table, policy) if _histogram_pays(table) else
-                   _row_terms(table, ((c, _crossing_row(table, c)) for c in range(1, d.k + 1))))
-    return Invariant.from_summands(policy, _index_polys(table, chord_terms, policy, include_n0))
+    rows = ((c, _crossing_row(table, c)) for c in range(1, d.k + 1))
+    chord_cells = (_histogram_cells(table, policy) if _histogram_pays(table) else
+                   _row_cells(table, rows, policy))
+    return Invariant.from_summands(policy, _index_polys(table, chord_cells, include_n0))
 
 
 def _map_exponents(inv: Invariant, f) -> Invariant:

@@ -64,7 +64,8 @@ def singular_H(d: GaussDiagram,
     """Alternating sum of H over all full resolutions of d.
 
     The sum has 2^s terms, each a full compute_H.  At s = MAX_SINGULAR = 12
-    and k = 30 that is 4096 calls and 2.7 to 4 s (Python 3.11.7, 2 CPUs).
+    and k = 30 that is 4096 calls and 1.4 to 2.7 s over three seeds
+    (Python 3.11.7, 2 CPUs, best of two runs on a shared host).
     A diagram with more singular chords raises GaussCodeError before any is
     resolved.
     """

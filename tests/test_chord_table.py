@@ -9,10 +9,10 @@ endpoint and c runs forward, or e's Over endpoint and c runs backward.
 
 compute_H reads each chord's crossings either from its crossing row or
 from per-degree counts summed into (n, phi) class counts, whichever its
-cost rule picks, and one tail turns them into H; the tests below also feed
-both sources of the same diagrams through that tail, with a diagram for
-each rule by which degree counts merge into class counts, and pin H for
-criterion 10's diagram.
+cost rule picks, and one tail turns them into H; the tests below also
+compare the two sources' class cells on the same diagrams and feed both
+through that tail, with a diagram for each rule by which degree counts
+merge into class counts, and pin H for criterion 10's diagram.
 """
 
 import hashlib
@@ -209,14 +209,18 @@ def test_brute_force_on_both_sides_of_the_cost_rule(make, seed):
     brute_check(above)
 
 
-def both_paths(d, policy, include_n0):
-    """H from crossing-row terms and H from histogram terms, both through the one tail."""
+def both_sources(d, policy):
+    """c -> class cells of c from the crossing rows, and the same from the histogram kernel."""
     table = d._table
     rows = ((c, gauss._crossing_row(table, c)) for c in range(1, d.k + 1))
-    sources = invariant._row_terms(table, rows), invariant._histogram_terms(table, policy)
-    return [Invariant.from_summands(policy,
-                                    invariant._index_polys(table, terms, policy, include_n0))
-            for terms in sources]
+    return [{c: list(cells) for c, cells in source} for source in (
+        invariant._row_cells(table, rows, policy), invariant._histogram_cells(table, policy))]
+
+
+def both_paths(d, policy, include_n0):
+    """H from crossing-row cells and H from histogram cells, both through the one tail."""
+    return [Invariant.from_summands(policy, invariant._index_polys(
+        d._table, cells.items(), include_n0)) for cells in both_sources(d, policy)]
 
 
 # Past 127 chords of one degree (nested diagrams, nested hubs) the kernel's
@@ -289,24 +293,37 @@ def merge_rules(d):
 
 
 def test_class_columns_match_the_rows_through_the_one_tail():
-    """Each merge rule of the class columns, against the crossing rows, bit for bit."""
+    """Each merge rule of the class columns, against the crossing rows, bit for bit.
+
+    Both sources yield every chord's cells in (n, phi) order, one per class
+    and none zero.  Some rows cross chords whose terms cancel within a
+    class; the row source drops those cells as the class columns do.
+    """
     diagrams = [random_diagram(k, seed) for k in (12, 40, 90) for seed in range(3)]
     diagrams += [random_nested_diagram(30, 1), hub_diagram(40, 1), block_hub_diagram(100, 0),
                  block_hub_diagram(100, 1)]
-    hit = set()
+    hit, cancelled = set(), 0
     for d in diagrams:
         hit |= merge_rules(d)
+        table = d._table
         for policy in POLICIES:
-            for c, terms in invariant._histogram_terms(d._table, policy):
-                terms = list(terms)  # one term per class, none zero
-                classes = [invariant._plan(abs(d._table.degree[c]), policy)[D] for D, _ in terms]
-                assert len(set(classes)) == len(classes) and all(s for _, s in terms)
+            rows, histogram = both_sources(d, policy)
+            assert rows == histogram and sorted(rows) == list(range(1, d.k + 1))
+            for c, cells in rows.items():
+                classes = [cls for cls, _ in cells]
+                assert classes == sorted(set(classes)) and all(count for _, count in cells)
+                plan = invariant._plan(abs(table.degree[c]), policy)
+                crossed = {plan[table.degree[e] if in_r else -table.degree[e]]
+                           for e, in_r in gauss._crossing_row(table, c)}
+                assert set(classes) <= crossed
+                cancelled += len(crossed) - len(classes)
             for include_n0 in (False, True):
                 rows, histogram = both_paths(d, policy, include_n0)
                 assert rows.exp_terms == histogram.exp_terms
                 assert rows.const_terms == histogram.const_terms
                 assert render(rows, "json") == render(histogram, "json")
     assert hit == {"literal tie", "cancelling cell", "degree 0", "n = 0", "wide count"}
+    assert cancelled
 
 
 def test_plans_kept_across_calls_keep_the_policies_apart():

@@ -117,6 +117,19 @@ def test_compare_mirror_check_holds(capsys, mode):
     assert out.splitlines() == ["distinct", "mirror identity holds"]
 
 
+def test_one_parser_per_process_carries_no_flag_from_call_to_call(capsys):
+    code = "O3+ U2- U1+ O2- O4+ O1+ U3+ U4+"
+    rc, with_n0, _ = run(capsys, "compute", "--code", code, "--include-n0")
+    rc2, without, _ = run(capsys, "compute", "--code", code)
+    rc3, gordian, _ = run(capsys, "gordian", CODE, "", "--json")
+    rc4, plain, _ = run(capsys, "gordian", CODE, "")
+    assert (rc, rc2, rc3, rc4) == (0, 0, 0, 0)
+    assert with_n0.strip() == "(t^-1 + t - 2) + (t^(-z^-1) + t^(z^-1) - 2)*y"
+    assert without.strip() == "(t^(-z^-1) + t^(z^-1) - 2)*y"
+    assert json.loads(gordian)["bound"] == 2 and plain.strip() == "bound: 2"
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_gordian_text(capsys):
     rc, out, _ = run(capsys, "gordian", CODE, "")
     assert rc == 0 and out.strip() == "bound: 2"

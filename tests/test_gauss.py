@@ -130,6 +130,20 @@ def test_outside_entries_check_the_events(tmp_path):
         from_chord_positions([(1, 2, 5)])
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: from_chord_positions([(1, 4, 1.0), (3, 5, 1), (2, 6, -1)]),
+     "chord 1 has sign 1.0, not an int"),
+    (lambda: from_chord_positions([(1, 4, 1), (3, 5, True), (2, 6, -1)]),
+     "chord 2 has sign True, not an int"),
+    (lambda: GaussDiagram((Event(True, "O", 1), Event(True, "U", 1))),
+     "chord id True is not an int"),
+])
+def test_a_sign_or_id_equal_to_an_int_but_not_one_is_rejected(make, message):
+    with pytest.raises(GaussCodeError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 @given(sizes, seeds)
 def test_random_diagram_is_valid_and_deterministic(k, seed):
     d = random_diagram(k, seed)

@@ -242,11 +242,32 @@ def test_addition_laws(k1, seed1, k2, seed2, policy):
 
 
 def test_from_summands_stores_m_only_for_nonconstant_exponents():
-    z = ZPoly.monomial(1, 1)
-    h = Invariant.from_summands(QUOT, [(1, 3, ZPoly.const(2), 1), (1, 3, z, -2),
-                                       (1, 3, z, 1), (2, 3, ZPoly(), 5)])
-    assert h.exp_terms == {TermKey(1, 0, ZPoly.const(2)): 1, TermKey(1, 3, z): -1}
-    assert h.const_terms == {}
+    z, z2, two = ZPoly.monomial(1, 1), ZPoly.monomial(1, 2), ZPoly.const(2)
+    h = Invariant.from_summands(QUOT, [(1, 3, two.terms, 1), (1, 3, z.terms, -2),
+                                       (1, 3, z.terms, 1), (2, 3, ZPoly().terms, 5),
+                                       (1, 5, two.terms, 1),
+                                       (2, 3, z2.terms, 1), (2, 3, z2.terms, -1)])
+    assert h.exp_terms == {TermKey(1, 0, two): 2, TermKey(1, 3, z): -1}
+    assert h.const_terms == {1: -1}
+
+
+def test_compute_H_builds_one_ZPoly_per_distinct_exponent_polynomial(monkeypatch):
+    built = []
+    init = ZPoly.__init__
+
+    def counted(self, terms=()):
+        built.append(self)
+        init(self, terms)
+
+    monkeypatch.setattr(ZPoly, "__init__", counted)
+    for d in (random_diagram(30, 5), random_diagram(200, 3)):  # crossing rows, then the kernel
+        for policy in ReductionPolicy:
+            built.clear()
+            h = compute_H(d, policy, include_n0=True)
+            shared = {}  # terms of P -> the one ZPoly every key with that P holds
+            for key in h.exp_terms:
+                assert shared.setdefault(key.P.terms, key.P) is key.P
+            assert len(built) == len(shared) < len(h.exp_terms)
 
 
 @given(sizes, seeds, policies, st.booleans())
