@@ -31,8 +31,10 @@ from .zpoly import ReductionPolicy
 __all__ = ["PROPERTIES", "main", "run_selftest", "symmetry_image"]
 
 
-def _policy(args) -> ReductionPolicy:
-    return ReductionPolicy(args.mode)
+def _pair_H(args):
+    """H of code_a, then of code_b, under --mode."""
+    policy = ReductionPolicy(args.mode)
+    return [compute_H(parse_gauss_code(code), policy) for code in (args.code_a, args.code_b)]
 
 
 def _cmd_compute(args) -> int:
@@ -40,7 +42,7 @@ def _cmd_compute(args) -> int:
         diagrams = [d for _, d in load_gko(args.file)]
     else:
         diagrams = [parse_gauss_code(args.code)]
-    policy = _policy(args)
+    policy = ReductionPolicy(args.mode)
     for d in diagrams:
         print(render(compute_H(d, policy, args.include_n0), args.format))
     return 0
@@ -53,9 +55,7 @@ def symmetry_image(h: Invariant, kind: str) -> Invariant:
 
 
 def _cmd_compare(args) -> int:
-    policy = _policy(args)
-    ha = compute_H(parse_gauss_code(args.code_a), policy)
-    hb = compute_H(parse_gauss_code(args.code_b), policy)
+    ha, hb = _pair_H(args)
     print("equal" if ha == hb else "distinct")
     if args.check == "none":
         return 0
@@ -67,11 +67,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gordian(args) -> int:
-    policy = _policy(args)
-    delta = (compute_H(parse_gauss_code(args.code_a), policy)
-             - compute_H(parse_gauss_code(args.code_b), policy))
+    ha, hb = _pair_H(args)
     try:
-        dec = decompose(delta)
+        dec = decompose(ha - hb)
     except NotHomotopyForm as exc:
         if args.json:
             print(json.dumps({"bound": None, "per_n": {}, "pairs": [],

@@ -77,7 +77,7 @@ _ChordTable = namedtuple("_ChordTable", ["over", "under", "sign", "degree", "at"
 _TOKEN = re.compile(r"([OU])(0|[1-9][0-9]*)([+\-*]?)(?!\S)|(\S+)")
 
 _TAGS = {"+": 1, "-": -1, "*": SINGULAR}
-_TAG_OF = {1: "+", -1: "-", SINGULAR: "*"}
+_TAG_OF = {sign: tag for tag, sign in _TAGS.items()}
 
 
 def _validate(events):

@@ -8,6 +8,11 @@ summed over the gcd classes n of c.  Any difference H(K) - H(K') of
 homotopic knotoids is therefore a sum of such deltas; decompose() writes
 a difference in that shape or proves it impossible, and the per-stratum
 coefficient sums bound the Gordian distance from below.
+
+_pair_sum is the one sum of a (t^P + t^{partner(P)} - 2) y^n over pairs
+(n, m, P, a): crossing_change_delta and reconstruct both call it.  In
+decompose, each stratum's dict of unpaired terms is the one ledger: a
+term leaves it when it is paired, either as the term or as its partner.
 """
 
 from __future__ import annotations
@@ -51,6 +56,12 @@ def _partner(P, m, policy):
     return reduce_poly(-P.subst_z_inverse(), m, policy)
 
 
+def _pair_sum(policy, pairs) -> Invariant:
+    """Sum of a (t^P + t^{partner(P)} - 2) y^n over pairs (n, m, P, a)."""
+    return Invariant.from_summands(policy, (
+        (n, m, Q.terms, a) for n, m, P, a in pairs for Q in (P, _partner(P, m, policy))))
+
+
 def crossing_change_delta(d: GaussDiagram, cid: int,
                           policy: ReductionPolicy = ReductionPolicy.QUOTIENT) -> Invariant:
     """Predicted H(d) - H(crossing_change(d, cid)), no recomputation."""
@@ -58,9 +69,7 @@ def crossing_change_delta(d: GaussDiagram, cid: int,
     if eps == SINGULAR:
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)
     m = abs(degree(d, cid))
-    return Invariant.from_summands(policy, (
-        (n, m, P.terms, eps) for n, ind in index_polys(d, cid, policy).items() if n
-        for P in (ind, _partner(ind, m, policy))))
+    return _pair_sum(policy, ((n, m, P, eps) for n, P in index_polys(d, cid, policy).items() if n))
 
 
 def decompose(delta: Invariant) -> GordianDecomposition:
@@ -77,34 +86,28 @@ def decompose(delta: Invariant) -> GordianDecomposition:
     pairs = []
     bound_per_n = {}
     for n in sorted(set(groups) | set(delta.const_terms)):
-        group = groups.get(n, {})
-        order = sorted(group, key=lambda key: (key[0], key[1].terms))
-        consumed = set()
+        group = groups.get(n, {})  # the terms not yet paired
         acc_const = 0
         bound = 0
-        for key in order:
-            if key in consumed:
+        for key in sorted(group, key=lambda key: (key[0], key[1].terms)):
+            a = group.pop(key, None)
+            if a is None:  # already taken as a partner
                 continue
-            consumed.add(key)
             m, P = key
-            coeff = group[key]
             Q = _partner(P, m, delta.policy)
             if Q == P:
-                if coeff % 2:
+                if a % 2:
                     raise NotHomotopyForm(
-                        "self-paired term t^(%s) y^%d has odd coefficient %d" % (P, n, coeff))
-                a = coeff // 2
+                        "self-paired term t^(%s) y^%d has odd coefficient %d" % (P, n, a))
+                a //= 2
             else:
-                qkey = (m, Q)
-                if qkey not in group or qkey in consumed:
+                b = group.pop((m, Q), None)
+                if b is None:
                     raise NotHomotopyForm(
                         "term t^(%s) y^%d lacks its partner t^(%s)" % (P, n, Q))
-                consumed.add(qkey)
-                if group[qkey] != coeff:
+                if b != a:
                     raise NotHomotopyForm(
-                        "partner coefficients differ at y^%d: %d vs %d"
-                        % (n, coeff, group[qkey]))
-                a = coeff
+                        "partner coefficients differ at y^%d: %d vs %d" % (n, a, b))
             pairs.append(DeltaPair(n, m, P, a))
             bound += abs(a)
             acc_const -= 2 * a
@@ -119,8 +122,7 @@ def decompose(delta: Invariant) -> GordianDecomposition:
 
 def reconstruct(dec: GordianDecomposition) -> Invariant:
     """Invariant equal to the decomposed difference, bit for bit."""
-    return Invariant.from_summands(dec.policy, (
-        (n, m, Q.terms, a) for n, m, P, a in dec.pairs for Q in (P, _partner(P, m, dec.policy))))
+    return _pair_sum(dec.policy, dec.pairs)
 
 
 def gordian_lower_bound(d1: GaussDiagram, d2: GaussDiagram,

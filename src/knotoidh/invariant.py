@@ -51,7 +51,8 @@ from itertools import compress
 from operator import eq, itemgetter, neg, sub
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram, _crossing_row
-from .zpoly import ReductionPolicy, ZPoly, _join_signed, reduce_exponent, reduce_poly
+from .zpoly import (ReductionPolicy, ZPoly, _join_signed, _require_policy, reduce_exponent,
+                    reduce_poly)
 
 __all__ = [
     "TermKey",
@@ -99,6 +100,7 @@ class Invariant:
     __slots__ = ("policy", "exp_terms", "const_terms")
 
     def __init__(self, policy, exp_terms=None, const_terms=None):
+        _require_policy(policy)
         self.policy = policy
         self.exp_terms = {k: v for k, v in (exp_terms or {}).items() if v}
         self.const_terms = {n: v for n, v in (const_terms or {}).items() if v}
@@ -198,6 +200,7 @@ class _Plan(dict):
     __slots__ = ("m", "policy")
 
     def __init__(self, m, policy):
+        _require_policy(policy)
         self.m, self.policy = m, policy
 
     def __missing__(self, D):
@@ -274,14 +277,12 @@ def crossing_partition(d: GaussDiagram, cid: int):
 
 def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
     """n -> Ind_c^n(z) for each gcd class n of the chords crossing cid, n = 0 included."""
-    degree(d, cid)
+    plan = _plan(abs(degree(d, cid)), policy)
     table = d._table
     row = _crossing_row(table, cid)
-    for e, _ in row:
-        degree(d, e)  # raises where a singular chord leaves d(e) undefined
-    plan = _plan(abs(table.degree[cid]), policy)
     # Every class of the row; one whose cells all cancel keeps ZPoly().
-    polys = dict.fromkeys((plan[table.degree[e]][0] for e, _ in row), ZPoly())
+    # degree(d, e) raises where a singular chord leaves d(e) undefined.
+    polys = dict.fromkeys((plan[degree(d, e)][0] for e, _ in row), ZPoly())
     for n, _, P, _ in _index_polys(table, _row_cells(table, [(cid, row)], policy), True):
         polys[n] = ZPoly(P)
     return polys
@@ -437,16 +438,12 @@ def _sorted_terms(inv: Invariant) -> list:
     return sorted(inv.exp_terms.items(), key=lambda kv: (kv[0].n, kv[0].m, kv[0].P.terms))
 
 
-def _t_power(P: ZPoly) -> str:
-    if P.terms == ((0, 1),):
+def _t_power(P: ZPoly, latex: bool) -> str:
+    if P.terms == ((0, 1),):  # t^1
         return "t"
+    if latex:
+        return "t^{%s}" % P.latex()
     return ("t^%s" if P.is_constant() or P.terms == ((1, 1),) else "t^(%s)") % P
-
-
-def _t_power_latex(P: ZPoly) -> str:
-    if P.terms == ((0, 1),):
-        return "t"
-    return "t^{%s}" % P.latex()
 
 
 def _y_power(n: int, latex: bool) -> str:
@@ -459,10 +456,9 @@ def _y_power(n: int, latex: bool) -> str:
 
 def _render_terms(inv: Invariant, latex: bool) -> str:
     strata = sorted(set(k.n for k in inv.exp_terms) | set(inv.const_terms))
-    t_power = _t_power_latex if latex else _t_power
     terms_by_n = defaultdict(list)
     for key, coeff in _sorted_terms(inv):
-        terms_by_n[key.n].append((coeff, t_power(key.P)))
+        terms_by_n[key.n].append((coeff, _t_power(key.P, latex)))
     out = []
     for n in strata:
         terms = terms_by_n[n]

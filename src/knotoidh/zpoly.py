@@ -27,6 +27,14 @@ class ReductionPolicy(enum.Enum):
     QUOTIENT = "quotient"
     LITERAL = "literal"
 
+    # Identity, as Enum's ==, so that cache keys hash in C rather than in Enum.__hash__.
+    __hash__ = object.__hash__
+
+
+def _require_policy(policy) -> None:
+    if not isinstance(policy, ReductionPolicy):
+        raise TypeError("policy must be a ReductionPolicy, not %r" % (policy,))
+
 
 def reduce_exponent(k: int, m: int, policy: ReductionPolicy) -> int:
     """Reduce a single exponent k modulo m under the given policy.
@@ -34,6 +42,7 @@ def reduce_exponent(k: int, m: int, policy: ReductionPolicy) -> int:
     m = 0 leaves k unchanged.  For LITERAL the result r satisfies
     |r| <= m/2, and reduce_exponent(-k) == -reduce_exponent(k) exactly.
     """
+    _require_policy(policy)
     if m < 0:
         raise ValueError("modulus must be non-negative")
     if m == 0:

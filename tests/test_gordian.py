@@ -72,6 +72,21 @@ def test_delta_matches_recomputed_difference(k, seed, policy):
     assert crossing_change_delta(d, cid, policy) == want
 
 
+@settings(deadline=None)
+@given(st.data(), policies)
+def test_several_crossing_changes_decompose_within_their_count(data, policy):
+    k = data.draw(sizes)
+    d = random_diagram(k, data.draw(seeds))
+    changes = data.draw(st.sets(st.integers(1, k), min_size=1, max_size=min(3, k)))
+    changed = d
+    for cid in changes:
+        changed = crossing_change(changed, cid)
+    diff = invariant_sub(compute_H(d, policy), compute_H(changed, policy))
+    dec = decompose(diff)
+    assert dec.bound <= len(changes)
+    assert reconstruct(dec) == diff
+
+
 def one(n, m, P, coeff, const):
     return Invariant(QUOT, {TermKey(n, m, P): coeff}, {n: const} if const else {})
 

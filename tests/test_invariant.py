@@ -15,6 +15,7 @@ from knotoidh.gauss import (
     random_nested_diagram,
     reverse,
 )
+from knotoidh.gordian import crossing_change_delta
 from knotoidh.invariant import (
     Invariant,
     TermKey,
@@ -33,7 +34,8 @@ from knotoidh.invariant import (
     subst_t_inverse,
     subst_z_inverse,
 )
-from knotoidh.zpoly import ReductionPolicy, ZPoly
+from knotoidh.singular import singular_H
+from knotoidh.zpoly import ReductionPolicy, ZPoly, reduce_exponent, reduce_poly
 
 QUOT = ReductionPolicy.QUOTIENT
 LIT = ReductionPolicy.LITERAL
@@ -219,6 +221,25 @@ def test_policy_mismatch_raises():
         invariant_sub(compute_H(d, QUOT), compute_H(d, LIT))
     with pytest.raises(ValueError, match="polic"):
         compute_H(d, QUOT) + compute_H(d, LIT)
+
+
+@pytest.mark.parametrize("policy", ["quotient", None, 1])
+@pytest.mark.parametrize("call", [
+    lambda p: compute_H(random_diagram(30, 1), p),
+    lambda p: compute_H(FIXTURES["trivial"], p),
+    lambda p: index_polys(FIXTURES["2_2"], 1, p),
+    lambda p: index_polys(parse_gauss_code("O1+ U1+"), 1, p),  # degree 0
+    lambda p: crossing_change_delta(FIXTURES["2_2"], 1, p),
+    lambda p: singular_H(FIXTURES["singular_witness"], p),
+    lambda p: reduce_exponent(5, 3, p),
+    lambda p: reduce_poly(ZPoly([(5, 1)]), 3, p),
+    lambda p: Invariant(p),
+], ids=["compute_H", "compute_H_trivial", "index_polys", "index_polys_degree_0",
+        "crossing_change_delta", "singular_H", "reduce_exponent", "reduce_poly", "Invariant"])
+def test_policy_that_is_not_a_reduction_policy_raises(call, policy):
+    with pytest.raises(TypeError, match=r"^policy must be a ReductionPolicy, not %s$"
+                       % re.escape(repr(policy))):
+        call(policy)
 
 
 def test_invariant_equal_is_false_against_a_non_invariant():
