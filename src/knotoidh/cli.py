@@ -39,12 +39,20 @@ def _pair_H(args):
 
 def _cmd_compute(args) -> int:
     if args.file is not None:
-        diagrams = [d for _, d in load_gko(args.file)]
+        named = load_gko(args.file)
     else:
-        diagrams = [parse_gauss_code(args.code)]
+        named = [(None, parse_gauss_code(args.code))]
     policy = ReductionPolicy(args.mode)
-    for d in diagrams:
-        print(render(compute_H(d, policy, args.include_n0), args.format))
+    texts = []  # every H first, so a diagram that fails rejects the whole file
+    for name, d in named:
+        try:
+            texts.append(render(compute_H(d, policy, args.include_n0), args.format))
+        except GaussCodeError as exc:
+            if name is None:
+                raise
+            raise GaussCodeError("%s: %s" % (name, exc)) from None
+    for text in texts:
+        print(text)
     return 0
 
 

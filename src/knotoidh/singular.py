@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from .gauss import SINGULAR, Event, GaussCodeError, GaussDiagram, random_diagram
+from .gauss import SINGULAR, Event, GaussCodeError, GaussDiagram, _switched, random_diagram
 from .invariant import Invariant, compute_H
 from .zpoly import ReductionPolicy
 
@@ -38,16 +38,18 @@ def make_singular(d: GaussDiagram, ids) -> GaussDiagram:
 
 
 def _resolve(d: GaussDiagram, choices: dict) -> GaussDiagram:
-    """Replace singular chords per choices: +1 keeps the drawn direction."""
+    """Replace singular chords per choices: +1 keeps the drawn direction.
+
+    -1 is the crossing change of the +1 resolution, made in the same pass.
+    """
     events = []
     for ev in d.events:
         c = choices.get(ev.chord)
-        if c is None:
-            events.append(ev)
-        elif c == 1:
-            events.append(Event(ev.chord, ev.kind, 1))
-        else:
-            events.append(Event(ev.chord, "U" if ev.kind == "O" else "O", -1))
+        if c is not None:
+            ev = Event(ev.chord, ev.kind, 1)
+            if c == -1:
+                ev = _switched(ev)
+        events.append(ev)
     return GaussDiagram._built(tuple(events))
 
 

@@ -1,11 +1,10 @@
-"""The cached chord table and H against a brute-force reading of the formulas.
+"""The cached chord table and H against the brute-force oracle, `perfbench/oracle.py`.
 
-The reference below shares nothing with the library's chord table: it
-scans every ordered pair of chords, written straight from the
-definitions, the way `perfbench/oracle.py` does.  For a chord c running
-from o(c) to u(c), a chord e crosses c when exactly one endpoint of e
-lies strictly between them; e is in r(c) when that endpoint is e's Under
-endpoint and c runs forward, or e's Over endpoint and c runs backward.
+The oracle shares nothing with the library's chord table: it reads the
+serialized code itself and scans every ordered pair of chords, written
+straight from the definitions.  It leaves out the n = 0 class and the
+crossing-change delta; the few lines below build those on the oracle's
+own functions, not on a copy of them.
 
 compute_H reads each chord's crossings either from its crossing row or
 from per-degree counts summed into (n, phi) class counts, whichever its
@@ -19,9 +18,11 @@ import hashlib
 import math
 import random
 import re
+from collections import Counter
 
 import pytest
 
+import oracle
 from knotoidh import gauss, invariant
 from knotoidh.gauss import (
     GaussCodeError,
@@ -77,116 +78,72 @@ def first_histogram_size(make, seed):
     return next(k for k in range(1, 400) if invariant._histogram_pays(make(k, seed)._table))
 
 
-def brute_chords(d):
-    """(over, under, sign) per chord id 1..k, read off the events."""
-    over, under, sign = {}, {}, {}
-    for p, ev in enumerate(d.events, start=1):
-        (over if ev.kind == "O" else under)[ev.chord] = p
-        sign[ev.chord] = ev.sign
-    return {c: (over[c], under[c], sign[c]) for c in sorted(sign)}
+def oracle_chords(d):
+    """The oracle's (over, under, sign) per chord of d, chord c at index c - 1, and the degrees."""
+    ch = oracle.chords(serialize(d))
+    return ch, [oracle.degree(ch, i) for i in range(len(ch))]
 
 
-def brute_side(c, e):
-    """+1 if e is in r(c), -1 if e is in l(c), 0 if e does not cross c."""
-    o, u, _ = c
-    lo, hi = min(o, u), max(o, u)
-    over_in = lo < e[0] < hi
-    under_in = lo < e[1] < hi
-    if over_in == under_in:
-        return 0
-    if under_in:
-        return 1 if o < u else -1
-    return 1 if o > u else -1
+def oracle_index(ch, deg, i, policy):
+    """n -> {exponent: coefficient} of Ind_c^n for chord index i, n = 0 included.
+
+    The oracle skips n = 0, the crossing chords e with d(c) = d(e) = 0.  There
+    m = 0 and D = 0, so Ind_c^0 is the constant sum of their signed sides.
+    """
+    polys = oracle.index_polys(ch, i, deg, policy.value)
+    const = sum(oracle.side(ch[i], e) * e[2] for e, D in zip(ch, deg) if D == 0)
+    if deg[i] == 0 and const:
+        polys[0] = {0: const}
+    return polys
 
 
-def brute_degree(ch, c):
-    return sum(brute_side(ch[c], ch[e]) * ch[e][2] for e in ch if e != c)
+def n0_stratum(ch, deg, policy):
+    """sum_c sgn(c) (t^Ind_c^0 - 1), the stratum that include_n0 adds to H."""
+    exp = Counter()
+    for i, c in enumerate(ch):
+        P = oracle_index(ch, deg, i, policy).get(0)
+        if P:
+            exp[TermKey(0, 0, ZPoly(P))] += c[2]
+    return Invariant(policy, exp, {0: -sum(exp.values())})
 
 
-def brute_reduce(k, m, policy):
-    if m == 0:
-        return k
-    r = k % m
-    if policy is ReductionPolicy.QUOTIENT:
-        return r
-    alt = r - m
-    if abs(alt) < abs(r) or (abs(alt) == abs(r) and k < 0):
-        return alt
-    return r
-
-
-def brute_index(ch, deg, c, n, policy):
-    """Ind_c^n as {exponent: coefficient}, zero coefficients dropped."""
-    poly = {}
-    for e in ch:
-        s = brute_side(ch[c], ch[e]) if e != c else 0
-        if s and math.gcd(deg[c], deg[e]) == n:
-            exp = brute_reduce(s * deg[e], abs(deg[c]), policy)
-            poly[exp] = poly.get(exp, 0) + s * ch[e][2]
-    return {x: a for x, a in poly.items() if a}
-
-
-def brute_H(ch, deg, policy, include_n0):
-    """sum_c sum_n sgn(c) (t^Ind_c^n - 1) y^n, straight from the formula."""
-    exp, const = {}, {}
-    for c in ch:
-        ns = {math.gcd(deg[c], deg[e]) for e in ch if e != c and brute_side(ch[c], ch[e])}
-        for n in sorted(ns if include_n0 else ns - {0}):
-            ind = brute_index(ch, deg, c, n, policy)
-            if not ind:
-                continue
-            P = ZPoly(ind)
-            key = TermKey(n, 0 if P.is_constant() else abs(deg[c]), P)
-            exp[key] = exp.get(key, 0) + ch[c][2]
-            const[n] = const.get(n, 0) - ch[c][2]
-    return Invariant(policy, exp, const)
-
-
-def brute_delta(ch, deg, c, policy):
-    """eps * sum_n (t^Ind + t^{-Ind(z^-1)} - 2) y^n, straight from the formula."""
-    eps, m = ch[c][2], abs(deg[c])
-    exp, const = {}, {}
-    ns = {math.gcd(deg[c], deg[e]) for e in ch if e != c and brute_side(ch[c], ch[e])}
-    for n in sorted(ns - {0}):
-        ind = brute_index(ch, deg, c, n, policy)
-        if not ind:
-            continue
-        partner = {}
+def brute_delta(ch, deg, i, policy):
+    """eps * sum_n (t^Ind + t^{-Ind(z^-1)} - 2) y^n over the oracle's classes n >= 1."""
+    eps, m = ch[i][2], abs(deg[i])
+    exp, const = Counter(), Counter()
+    for n, ind in oracle.index_polys(ch, i, deg, policy.value).items():
+        partner = Counter()
         for x, a in ind.items():
-            y = brute_reduce(-x, m, policy)
-            partner[y] = partner.get(y, 0) - a
+            partner[oracle.reduce(-x, m, policy.value)] -= a
         for poly in (ind, partner):
             P = ZPoly(poly)
-            key = TermKey(n, 0 if P.is_constant() else m, P)
-            exp[key] = exp.get(key, 0) + eps
-        const[n] = const.get(n, 0) - 2 * eps
+            exp[TermKey(n, 0 if P.is_constant() else m, P)] += eps
+        const[n] -= 2 * eps
     return Invariant(policy, exp, const)
 
 
 def brute_check(d):
-    ch = brute_chords(d)
-    deg = {c: brute_degree(ch, c) for c in ch}
-    for c in ch:
-        assert degree(d, c) == deg[c]
-        right = tuple(e for e in ch if e != c and brute_side(ch[c], ch[e]) > 0)
-        left = tuple(e for e in ch if e != c and brute_side(ch[c], ch[e]) < 0)
-        assert crossing_partition(d, c) == (right, left)
-        classes = {math.gcd(deg[c], deg[e]) for e in right + left}
+    ch, deg = oracle_chords(d)
+    for i, c in enumerate(ch):
+        cid = i + 1
+        assert degree(d, cid) == deg[i]
+        sides = [(j, oracle.side(c, e)) for j, e in enumerate(ch, start=1)]
+        right, left = (tuple(e for e, s in sides if s == want) for want in (1, -1))
+        assert crossing_partition(d, cid) == (right, left)
+        classes = {math.gcd(deg[i], deg[e - 1]) for e in right + left}
         for policy in POLICIES:
+            want = oracle_index(ch, deg, i, policy)
             for n in classes | {0, 1, 2}:
-                want = ZPoly(brute_index(ch, deg, c, n, policy))
-                assert index_function(d, c, n, policy).terms == want.terms, (c, n)
-            got = {n: P.terms for n, P in index_polys(d, c, policy).items()}
-            assert got == {n: ZPoly(brute_index(ch, deg, c, n, policy)).terms
-                           for n in classes}, c
-            got = crossing_change_delta(d, c, policy)
-            want = brute_delta(ch, deg, c, policy)
+                assert index_function(d, cid, n, policy).terms == ZPoly(want.get(n, {})).terms, n
+            got = {n: P.terms for n, P in index_polys(d, cid, policy).items()}
+            assert got == {n: ZPoly(want.get(n, {})).terms for n in classes}, cid
+            got = crossing_change_delta(d, cid, policy)
+            want = brute_delta(ch, deg, i, policy)
             assert got.exp_terms == want.exp_terms and got.const_terms == want.const_terms
     for policy in POLICIES:
-        for include_n0 in (False, True):
-            got = compute_H(d, policy, include_n0)
-            want = brute_H(ch, deg, policy, include_n0)
-            assert got.exp_terms == want.exp_terms and got.const_terms == want.const_terms
+        h = compute_H(d, policy)
+        assert render(h, "json") == oracle.compute_H(serialize(d), policy.value)
+        assert compute_H(d, policy, True) - h == n0_stratum(ch, deg, policy)
 
 
 @pytest.mark.parametrize("make", [random_diagram, random_nested_diagram, hub_diagram])
@@ -264,20 +221,18 @@ def block_hub_diagram(size, seed):
 def merge_rules(d):
     """The rules for merging degree cells into (n, phi) class cells that d exercises.
 
-    Read from the brute-force crossings: the term (D, s) of e in r(c) is
+    Read from the oracle's crossings: the term (D, s) of e in r(c) is
     (d(e), sgn(e)), of e in l(c) it is (-d(e), -sgn(e)).
     """
-    ch = brute_chords(d)
-    deg = {c: brute_degree(ch, c) for c in ch}
-    most = max((list(deg.values()).count(D) for D in set(deg.values())), default=0)
+    ch, deg = oracle_chords(d)
+    most = max((deg.count(D) for D in set(deg)), default=0)
     hit = set()
-    for c in ch:
-        m = abs(deg[c])
+    for c, m in zip(ch, map(abs, deg)):
         cells = {}  # (n, D mod m) -> {D: summed count}
-        for e in ch:
-            side = brute_side(ch[c], ch[e]) if e != c else 0
+        for e, De in zip(ch, deg):
+            side = oracle.side(c, e)
             if side:
-                D, s = side * deg[e], side * ch[e][2]
+                D, s = side * De, side * e[2]
                 cell = cells.setdefault((math.gcd(m, D), D % m if m else D), {})
                 cell[D] = cell.get(D, 0) + s
         for (n, _), cell in cells.items():

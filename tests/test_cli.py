@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from importlib import resources
 
 import pytest
 
@@ -86,6 +87,15 @@ def test_compute_rejects_file_that_is_not_utf8(capsys, tmp_path):
     assert rc == 2 and out == ""
     assert err.startswith("error: %s is not UTF-8 text" % path)
     assert len(err.splitlines()) == 1
+
+
+def test_compute_rejects_a_file_with_a_singular_diagram_by_its_name(capsys):
+    path = resources.files("knotoidh").joinpath("data/paper_fixtures.gko")
+    rc, out, err = run(capsys, "compute", "--file", str(path))
+    assert (rc, out) == (2, "")
+    assert err == "error: singular_witness: diagram has singular chords; resolve them first\n"
+    rc, out, err = run(capsys, "compute", "--code", "O1* U1*")
+    assert (rc, out, err) == (2, "", "error: diagram has singular chords; resolve them first\n")
 
 
 def test_compare_equal_and_distinct(capsys):

@@ -1,11 +1,12 @@
-"""The Gauss-code and JSON codecs against per-token and json.dumps references."""
+"""The Gauss-code and JSON codecs against a per-token parser and the oracle's JSON writer."""
 
-import json
 import re
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import oracle
 
 from knotoidh.gauss import (
     SINGULAR,
@@ -46,15 +47,6 @@ def reference_parse(text):
     if unsigned:
         raise GaussCodeError("chord %d has no sign on either token" % unsigned[0])
     return GaussDiagram(tuple(Event(cid, kind, signs[cid]) for kind, cid in entries))
-
-
-def reference_json(inv):
-    """The invariant as a dict of plain lists, written by json.dumps."""
-    keys = sorted(inv.exp_terms, key=lambda k: (k.n, k.m, k.P.terms))
-    terms = [{"n": k.n, "m": k.m, "P": [[e, c] for e, c in k.P.terms],
-              "coeff": inv.exp_terms[k]} for k in keys]
-    consts = [{"n": n, "coeff": inv.const_terms[n]} for n in sorted(inv.const_terms)]
-    return json.dumps({"policy": inv.policy.value, "terms": terms, "consts": consts})
 
 
 def outcome(parse, text):
@@ -128,10 +120,11 @@ JSON_CASES = {**bundled_diagrams(), **{"random_%d" % k: random_diagram(k, k) for
 def test_json_matches_json_dumps(name, policy, include_n0):
     d = JSON_CASES[name]
     h = (singular_H if d.singular_ids() else compute_H)(d, policy, include_n0)
-    assert render(h, "json") == reference_json(h)
+    assert render(h, "json") == oracle.canonical_json(
+        policy.value, {(k.n, k.m, k.P.terms): c for k, c in h.exp_terms.items()}, h.const_terms)
 
 
 @pytest.mark.parametrize("policy", list(ReductionPolicy))
 def test_empty_invariant_json_matches_json_dumps(policy):
     for h in (Invariant(policy), Invariant(policy, const_terms={0: 2, 3: -1})):
-        assert render(h, "json") == reference_json(h)
+        assert render(h, "json") == oracle.canonical_json(policy.value, {}, h.const_terms)

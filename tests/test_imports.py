@@ -1,7 +1,9 @@
-"""Every imported name in the package and its tests is used, and so is
-every private top-level name of the package."""
+"""Every imported name in the package and its tests is used, every private
+top-level name of the package is read, and the brute-force oracle imports
+nothing but the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -71,3 +73,28 @@ def test_scan_flags_a_dead_helper():
                         "def _f(): return _A\nclass _C: pass\ndef g(): pass\n"),
                "b.py": "from a import _C\n_D = 0\n_D = 1\n"}
     assert dead_private_names(sources) == [("a.py", "_B"), ("a.py", "_f"), ("b.py", "_D")]
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules a source imports; "" for a relative import."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add("" if node.level else node.module.split(".")[0])
+    return modules
+
+
+def test_oracle_imports_only_the_standard_library():
+    """The oracle that tier-1 and the benchmark share never reads the code it checks."""
+    source = (ROOT / "perfbench" / "oracle.py").read_text()
+    modules = imported_modules(source)
+    assert modules and modules <= sys.stdlib_module_names, modules - sys.stdlib_module_names
+    assert "knotoidh" not in source and "__import__" not in source
+
+
+def test_scan_names_every_imported_module():
+    source = ("from __future__ import annotations\nimport json, os.path\n"
+              "from knotoidh.gauss import serialize\nfrom . import zpoly\nimport numpy as np\n")
+    assert imported_modules(source) == {"__future__", "json", "os", "knotoidh", "", "numpy"}

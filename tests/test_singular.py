@@ -1,5 +1,8 @@
 """Skein resolutions and the order-one vanishing property."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -92,6 +95,42 @@ def test_singular_H_bounds_the_number_of_singular_chords(monkeypatch):
     assert calls == []
     assert singular_H(random_singular_diagram(MAX_SINGULAR + 2, MAX_SINGULAR, 5)).is_zero()
     assert len(calls) == 2 ** MAX_SINGULAR
+
+
+def resolved_token(token, negative):
+    """A token of a canonical code with its `*` resolved, read off the text alone.
+
+    The positive resolution tags the chord `+`; the negative one swaps its O
+    and U tokens and tags it `-`.
+    """
+    kind, cid, tag = token[0], token[1:-1], token[-1]
+    if tag != "*":
+        return token
+    if cid in negative:
+        return {"O": "U", "U": "O"}[kind] + cid + "-"
+    return kind + cid + "+"
+
+
+@pytest.mark.parametrize("include_n0", [False, True])
+@pytest.mark.parametrize("policy", list(ReductionPolicy))
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_singular_H_is_the_alternating_sum_over_its_resolutions(s, policy, include_n0):
+    """sum over all 2^s resolutions of (-1)^(number negative) H, built without _resolve."""
+    for k, seed in product((s, s + 2, 9), range(3)):
+        d = random_singular_diagram(k, s, seed)
+        tokens = serialize(d).split()
+        ids = [str(cid) for cid in d.singular_ids()]
+        exp, const = Counter(), Counter()
+        for signs in product((1, -1), repeat=s):
+            negative = {cid for cid, sign in zip(ids, signs) if sign < 0}
+            code = " ".join(resolved_token(t, negative) for t in tokens)
+            h = compute_H(parse_gauss_code(code), policy, include_n0)
+            parity = (-1) ** len(negative)
+            for key, c in h.exp_terms.items():
+                exp[key] += parity * c
+            for n, c in h.const_terms.items():
+                const[n] += parity * c
+        assert singular_H(d, policy, include_n0) == Invariant(policy, exp, const), (k, seed)
 
 
 @settings(deadline=None)
