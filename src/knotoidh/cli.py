@@ -32,9 +32,15 @@ __all__ = ["PROPERTIES", "main", "run_selftest", "symmetry_image"]
 
 
 def _pair_H(args):
-    """H of code_a, then of code_b, under --mode."""
+    """H of code_a, then of code_b, under --mode; an error names the code it came from."""
     policy = ReductionPolicy(args.mode)
-    return [compute_H(parse_gauss_code(code), policy) for code in (args.code_a, args.code_b)]
+    pair = []
+    for name in ("code_a", "code_b"):
+        try:
+            pair.append(compute_H(parse_gauss_code(getattr(args, name)), policy))
+        except GaussCodeError as exc:
+            raise GaussCodeError("%s: %s" % (name, exc)) from None
+    return pair
 
 
 def _cmd_compute(args) -> int:

@@ -81,6 +81,9 @@ _TAG_OF = {sign: tag for tag, sign in _TAGS.items()}
 
 
 def _validate(events):
+    if not {Event}.issuperset(map(type, events)):
+        pos = next(pos for pos, ev in enumerate(events, start=1) if type(ev) is not Event)
+        raise GaussCodeError("event at position %d is %r, not an Event" % (pos, events[pos - 1]))
     seen = {}
     for pos, ev in enumerate(events, start=1):
         if ev.kind not in ("O", "U"):
@@ -197,12 +200,19 @@ def _crossing_row(table: _ChordTable, cid: int) -> list:
 def from_chord_positions(chords) -> GaussDiagram:
     """Build a diagram from (over_pos, under_pos, sign) triples.
 
-    Positions must form a permutation of 1..2k; ids are assigned 1..k in
-    input order.
+    Positions must be ints (not bools) forming a permutation of 1..2k; ids
+    are assigned 1..k in input order.
     """
     chords = list(chords)
     events = {}
-    for i, (over, under, sign) in enumerate(chords, start=1):
+    for i, entry in enumerate(chords, start=1):
+        try:
+            over, under, sign = entry
+        except (TypeError, ValueError):
+            over = under = None
+        if type(over) is not int or type(under) is not int:
+            raise GaussCodeError("chord entry %r is not (over_pos, under_pos, sign) with int"
+                                 " positions" % (entry,))
         events[over] = Event(i, "O", sign)
         events[under] = Event(i, "U", sign)
     if sorted(events) != list(range(1, 2 * len(chords) + 1)):

@@ -26,12 +26,12 @@ include_n0 is set.  Crossing-change deltas and skein sums are signed sums of
 the same summand (t^P - 1) y^n, and Invariant.from_summands is the one place
 that turns summands into stored terms.
 
-compute_H reads the crossing rows only for a small diagram
-(_histogram_pays); otherwise it counts each chord's crossings per (n, phi)
-class in one bitset sweep (_histogram_cells).  Either source hands each
-chord's class cells ((n, phi), count) on sorted by (n, phi), one per class
-and none zero, and _index_polys alone turns them into Ind_c^n: a run of
-equal n is already its sorted term tuple.  from_summands sums the signs
+compute_H reads the crossing rows of a diagram with fewer than
+_KERNEL_MIN_CHORDS chords; otherwise it counts each chord's crossings per
+(n, phi) class in one bitset sweep (_histogram_cells).  Either source hands
+each chord's class cells ((n, phi), count) on sorted by (n, phi), one per
+class and none zero, and _index_polys alone turns them into Ind_c^n: a run
+of equal n is already its sorted term tuple.  from_summands sums the signs
 per (n, m, P) before it builds anything, so H gets one ZPoly per distinct
 exponent polynomial, shared by every term that has it.  The class and
 reduced exponent of a crossing depend only on |d(c)|, its signed degree
@@ -76,13 +76,11 @@ __all__ = [
 # (y-exponent, modulus, exponent polynomial); m is 0 whenever P is constant.
 TermKey = namedtuple("TermKey", ["n", "m", "P"])
 
-# The histogram kernel costs about _CELL_COST crossing-row events per cell
-# plus _KERNEL_SETUP events per diagram: a least-squares fit of the time
-# difference of the two paths on 400 random diagrams with k from 1 to 60
-# (random_diagram, compute_H under QUOTIENT, best of 7 each), refit for the
-# class-column kernel: 1.80 and 163; two more draws gave 1.77/155, 1.83/188.
-_CELL_COST = 1.8
-_KERNEL_SETUP = 160
+# compute_H takes the histogram kernel from this many chords on.  Both
+# sources timed on random_diagram(k, .), k = 14..120, both policies, best of
+# 7 (Python 3.11, 2 CPUs): every threshold from 38 to 48 came within 0.2% of
+# the others and within 1.2% of taking the faster source on each diagram.
+_KERNEL_MIN_CHORDS = 40
 
 # Bytes of a signed bitset field -> its array typecode; see _histogram_cells.
 _FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -289,7 +287,12 @@ def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
 
 
 def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -> ZPoly:
-    """Ind_c^n(z) with exponents reduced mod |d(c)| under the policy."""
+    """Ind_c^n(z) with exponents reduced mod |d(c)| under the policy.
+
+    The class n must be an int, not a bool, and at least 0.
+    """
+    if type(n) is not int or n < 0:
+        raise GaussCodeError("class n must be an int >= 0, got %r" % (n,))
     return index_polys(d, cid, policy).get(n, ZPoly())
 
 
@@ -388,20 +391,6 @@ def _histogram_cells(table, policy):
             yield c, compress(zip(keys, row), row)
 
 
-def _histogram_pays(table) -> bool:
-    """True when the histogram kernel costs less than reading the crossing rows.
-
-    The rows read every event inside every span; the kernel fills k cells
-    per distinct degree after a fixed setup, both priced in span events.
-    """
-    over, under, deg = table.over, table.under, table.degree
-    k = len(deg) - 1
-    if k * (k - 1) <= _KERNEL_SETUP:  # the spans of k chords hold at most k(k - 1) events
-        return False
-    span_events = sum(map(abs, map(sub, over[1:], under[1:]))) - k
-    return _CELL_COST * k * len(set(deg[1:])) + _KERNEL_SETUP < span_events
-
-
 def compute_H(d: GaussDiagram,
               policy: ReductionPolicy = ReductionPolicy.QUOTIENT,
               include_n0: bool = False) -> Invariant:
@@ -410,7 +399,7 @@ def compute_H(d: GaussDiagram,
         raise GaussCodeError("diagram has singular chords; resolve them first")
     table = d._table
     rows = ((c, _crossing_row(table, c)) for c in range(1, d.k + 1))
-    chord_cells = (_histogram_cells(table, policy) if _histogram_pays(table) else
+    chord_cells = (_histogram_cells(table, policy) if d.k >= _KERNEL_MIN_CHORDS else
                    _row_cells(table, rows, policy))
     return Invariant.from_summands(policy, _index_polys(table, chord_cells, include_n0))
 

@@ -129,14 +129,13 @@ class R3Config:
 
 
 # Six events of a config in position order (A1 A2 B1 B2 C1 C2), as
-# (role, kind), on the pairwise-crossing side of each variant.  The move
-# swaps the two events of each pair (r3_apply), so the image side, pairwise
-# non-crossing, is the layout with positions i and i ^ 1 swapped.
+# (role, kind, sign), on the pairwise-crossing side of each variant.  The
+# move swaps the two events of each pair (r3_apply), so the image side,
+# pairwise non-crossing, is the layout with positions i and i ^ 1 swapped.
 _R3_LAYOUTS = {
-    "3a": ((3, "U"), (2, "U"), (1, "U"), (3, "O"), (2, "O"), (1, "O")),
-    "3a_prime": ((3, "U"), (2, "U"), (1, "O"), (3, "O"), (2, "O"), (1, "U")),
+    "3a": ((3, "U", 1), (2, "U", -1), (1, "U", 1), (3, "O", 1), (2, "O", -1), (1, "O", 1)),
+    "3a_prime": ((3, "U", -1), (2, "U", 1), (1, "O", 1), (3, "O", -1), (2, "O", 1), (1, "U", 1)),
 }
-_R3_SIGNS = {"3a": {1: 1, 2: -1, 3: 1}, "3a_prime": {1: 1, 2: 1, 3: -1}}
 
 
 def _r3_matches(events, variant, bases, roles, either_side=False) -> bool:
@@ -144,9 +143,8 @@ def _r3_matches(events, variant, bases, roles, either_side=False) -> bool:
     with either_side also its image."""
     p, q, r = bases
     actual = tuple(events[i - 1] for i in (p, p + 1, q, q + 1, r, r + 1))
-    signs = _R3_SIGNS[variant]
-    crossing = tuple(Event(roles[role - 1], kind, signs[role])
-                     for role, kind in _R3_LAYOUTS[variant])
+    crossing = tuple(Event(roles[role - 1], kind, sign)
+                     for role, kind, sign in _R3_LAYOUTS[variant])
     return actual == crossing or either_side and actual == tuple(crossing[i ^ 1] for i in range(6))
 
 
@@ -208,9 +206,7 @@ def r1_insert(d: GaussDiagram, gap: int, direction: str = FORWARD,
 def r1_delete(d: GaussDiagram, cid: int) -> GaussDiagram:
     """Remove a kink: the chord's endpoints must be adjacent."""
     _check_call("r1_delete", cid=cid)
-    _chord(d, "cid", cid)
-    over, under = d._table[:2]
-    if abs(over[cid] - under[cid]) != 1:
+    if _chord(d, "cid", cid) not in _kinks(d):
         raise MoveError("chord %d is not a kink (endpoints not adjacent)" % cid)
     return GaussDiagram._built(_drop_ids(d.events, (cid,)))
 

@@ -6,12 +6,12 @@ straight from the definitions.  It leaves out the n = 0 class and the
 crossing-change delta; the few lines below build those on the oracle's
 own functions, not on a copy of them.
 
-compute_H reads each chord's crossings either from its crossing row or
-from per-degree counts summed into (n, phi) class counts, whichever its
-cost rule picks, and one tail turns them into H; the tests below also
-compare the two sources' class cells on the same diagrams and feed both
-through that tail, with a diagram for each rule by which degree counts
-merge into class counts, and pin H for criterion 10's diagram.
+compute_H reads each chord's crossings from its crossing row below
+_KERNEL_MIN_CHORDS chords and from per-degree counts summed into (n, phi)
+class counts from there on, and one tail turns them into H; the tests
+below also compare the two sources' class cells on the same diagrams and
+feed both through that tail, with a diagram for each rule by which degree
+counts merge into class counts, and pin H for criterion 10's diagram.
 """
 
 import hashlib
@@ -19,6 +19,7 @@ import math
 import random
 import re
 from collections import Counter
+from unittest import mock
 
 import pytest
 
@@ -73,9 +74,36 @@ def hub_diagram(k, seed):
     return from_chord_positions(chords)
 
 
+def block_hub_diagram(size, seed):
+    """A hub crossed by two blocks of `size` chords that share one sign and direction.
+
+    Each block nests within itself and crosses the other block whole, so
+    the blocks' degrees differ by 2 * size = |d(hub)|: the hub's cells of
+    the two degrees fall into one (n, phi) class of count 2 * size, while
+    no single degree has more than `size` chords.
+    """
+    rng = random.Random(seed)
+    n = 2 * size
+    sign, inward = rng.choice((1, -1)), rng.random() < 0.5
+    chords = [(1, n + 2, rng.choice((1, -1)))]
+    for i in range(n):
+        inner = 2 + i
+        outer = n + 3 + (i // size) * size + size - 1 - i % size
+        chords.append((outer, inner, sign) if inward else (inner, outer, sign))
+    return from_chord_positions(chords)
+
+
+def takes_kernel(d):
+    """True when compute_H reads d's class cells from the histogram kernel, not the rows."""
+    kernel = mock.Mock(wraps=invariant._histogram_cells)
+    with mock.patch.object(invariant, "_histogram_cells", kernel):
+        compute_H(d)
+    return kernel.called
+
+
 def first_histogram_size(make, seed):
     """The least k at which compute_H picks the histogram kernel for make(k, seed)."""
-    return next(k for k in range(1, 400) if invariant._histogram_pays(make(k, seed)._table))
+    return next(k for k in range(1, 400) if takes_kernel(make(k, seed)))
 
 
 def oracle_chords(d):
@@ -153,15 +181,16 @@ def test_table_matches_brute_force(make, k, seed):
     brute_check(make(k, 1000 * k + seed))
 
 
-# Hub seeds 0 and 2 nest the crossers; seed 1 lays them pairwise crossing, which
-# gives them k - 1 distinct degrees, so the rule keeps the rows there at every size.
-@pytest.mark.parametrize("make, seed", [(random_diagram, 0), (random_diagram, 1),
-                                        (random_diagram, 2), (hub_diagram, 0), (hub_diagram, 2)])
+# The rule reads the chord count alone, so every generator switches at
+# _KERNEL_MIN_CHORDS chords; block_hub_diagram(size, .) has 2 * size + 1 of them.
+@pytest.mark.parametrize("make, seed", [
+    (random_diagram, 0), (random_diagram, 1), (random_diagram, 2), (random_nested_diagram, 0),
+    (hub_diagram, 0), (hub_diagram, 1), (hub_diagram, 2), (block_hub_diagram, 0)])
 def test_brute_force_on_both_sides_of_the_cost_rule(make, seed):
     k = first_histogram_size(make, seed)
     below, above = make(k - 1, seed), make(k, seed)
-    assert not invariant._histogram_pays(below._table)
-    assert invariant._histogram_pays(above._table)
+    assert below.k < invariant._KERNEL_MIN_CHORDS <= above.k
+    assert not takes_kernel(below)
     brute_check(below)
     brute_check(above)
 
@@ -197,25 +226,6 @@ def test_histogram_and_row_paths_agree(make, sizes):
                     assert rows.exp_terms == histogram.exp_terms, (k, seed)
                     assert rows.const_terms == histogram.const_terms, (k, seed)
                     assert render(rows, "json") == render(histogram, "json")
-
-
-def block_hub_diagram(size, seed):
-    """A hub crossed by two blocks of `size` chords that share one sign and direction.
-
-    Each block nests within itself and crosses the other block whole, so
-    the blocks' degrees differ by 2 * size = |d(hub)|: the hub's cells of
-    the two degrees fall into one (n, phi) class of count 2 * size, while
-    no single degree has more than `size` chords.
-    """
-    rng = random.Random(seed)
-    n = 2 * size
-    sign, inward = rng.choice((1, -1)), rng.random() < 0.5
-    chords = [(1, n + 2, rng.choice((1, -1)))]
-    for i in range(n):
-        inner = 2 + i
-        outer = n + 3 + (i // size) * size + size - 1 - i % size
-        chords.append((outer, inner, sign) if inward else (inner, outer, sign))
-    return from_chord_positions(chords)
 
 
 def merge_rules(d):
@@ -287,9 +297,9 @@ def test_plans_kept_across_calls_keep_the_policies_apart():
     The first two diagrams hold terms at D = m/2 and D = -m/2 in one class,
     which only Quotient merges; the rows read the first, the kernel the rest.
     """
-    diagrams = [random_diagram(7, 0), random_diagram(26, 0), block_hub_diagram(20, 0)]
+    diagrams = [random_diagram(7, 0), random_diagram(40, 0), block_hub_diagram(20, 0)]
     assert all("literal tie" in merge_rules(d) for d in diagrams[:2])
-    assert [invariant._histogram_pays(d._table) for d in diagrams] == [False, True, True]
+    assert [takes_kernel(d) for d in diagrams] == [False, True, True]
     invariant._plan.cache_clear()
     for _ in range(2):
         for d in diagrams:
@@ -299,7 +309,7 @@ def test_plans_kept_across_calls_keep_the_policies_apart():
 def test_plans_kept_across_calls_give_H_in_any_order():
     diagrams = [random_diagram(k, seed) for k in (4, 9, 12, 30, 60) for seed in range(2)]
     diagrams += [hub_diagram(40, 0), block_hub_diagram(20, 1)]
-    assert {invariant._histogram_pays(d._table) for d in diagrams} == {False, True}
+    assert {takes_kernel(d) for d in diagrams} == {False, True}
     invariant._plan.cache_clear()
     first = [[render(compute_H(d, policy), "json") for policy in POLICIES] for d in diagrams]
     invariant._plan.cache_clear()

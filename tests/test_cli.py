@@ -98,6 +98,18 @@ def test_compute_rejects_a_file_with_a_singular_diagram_by_its_name(capsys):
     assert (rc, out, err) == (2, "", "error: diagram has singular chords; resolve them first\n")
 
 
+@pytest.mark.parametrize("command", [["compare"], ["gordian"], ["gordian", "--json"]])
+@pytest.mark.parametrize("codes, message", [
+    (("O1* U1*", "O1+ U1+"), "code_a: diagram has singular chords; resolve them first"),
+    (("O1+ U1+", "O1* U1*"), "code_b: diagram has singular chords; resolve them first"),
+    (("O1+ U1", "O01+ U1+"), "code_b: malformed token 'O01+'"),
+    (("O1 U1", "O1+ U1+"), "code_a: token 'O1': O tokens need a sign or *"),
+], ids=["singular_a", "singular_b", "malformed_b", "unsigned_a"])
+def test_a_two_code_command_names_the_code_it_rejects(capsys, command, codes, message):
+    rc, out, err = run(capsys, command[0], *codes, *command[1:])
+    assert (rc, out, err) == (2, "", "error: %s\n" % message)
+
+
 def test_compare_equal_and_distinct(capsys):
     rc, out, _ = run(capsys, "compare", CODE, CODE)
     assert rc == 0 and out.strip() == "equal"

@@ -144,6 +144,27 @@ def test_a_sign_or_id_equal_to_an_int_but_not_one_is_rejected(make, message):
     assert str(exc.value) == message
 
 
+ENTRY = "chord entry %s is not (over_pos, under_pos, sign) with int positions"
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: GaussDiagram(((1, "O", 1), (1, "U", 1))),
+     "event at position 1 is (1, 'O', 1), not an Event"),
+    (lambda: GaussDiagram((Event(1, "O", 1), None)), "event at position 2 is None, not an Event"),
+    (lambda: from_chord_positions([(1, 2)]), ENTRY % "(1, 2)"),
+    (lambda: from_chord_positions([(1, 2, 1, 1)]), ENTRY % "(1, 2, 1, 1)"),
+    (lambda: from_chord_positions([7]), ENTRY % "7"),
+    (lambda: from_chord_positions([("1", 2, 1)]), ENTRY % "('1', 2, 1)"),
+    (lambda: from_chord_positions([(1.0, 2, 1)]), ENTRY % "(1.0, 2, 1)"),
+    (lambda: from_chord_positions([(1, 3, 1), (True, 4, 1)]), ENTRY % "(True, 4, 1)"),
+    (lambda: from_chord_positions([(1, 2.0, 1)]), ENTRY % "(1, 2.0, 1)"),
+])
+def test_an_event_or_chord_entry_of_the_wrong_shape_is_rejected(make, message):
+    with pytest.raises(GaussCodeError) as exc:
+        make()
+    assert str(exc.value) == message
+
+
 @given(sizes, seeds)
 def test_random_diagram_is_valid_and_deterministic(k, seed):
     d = random_diagram(k, seed)

@@ -17,6 +17,7 @@ from knotoidh.gauss import (
 )
 from knotoidh.gordian import crossing_change_delta
 from knotoidh.invariant import (
+    _KERNEL_MIN_CHORDS,
     Invariant,
     TermKey,
     compute_H,
@@ -79,6 +80,13 @@ def test_five_chord_degrees_and_indexes():
     for (c, n), want in expected.items():
         if (c, n) != (2, 1):
             assert index_function(d, c, n, QUOT) == want, (c, n)
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "1", -1, None])
+def test_index_function_takes_only_a_class_that_is_an_int_at_least_0(bad):
+    with pytest.raises(GaussCodeError, match="^class n must be an int >= 0, got %s$"
+                       % re.escape(repr(bad))):
+        index_function(FIXTURES["5.1.28"], 1, bad, LIT)
 
 
 def test_five_chord_invariant_renders():
@@ -281,7 +289,9 @@ def test_compute_H_builds_one_ZPoly_per_distinct_exponent_polynomial(monkeypatch
         init(self, terms)
 
     monkeypatch.setattr(ZPoly, "__init__", counted)
-    for d in (random_diagram(30, 5), random_diagram(200, 3)):  # crossing rows, then the kernel
+    rows, kernel = random_diagram(30, 5), random_diagram(200, 3)
+    assert rows.k < _KERNEL_MIN_CHORDS <= kernel.k
+    for d in (rows, kernel):
         for policy in ReductionPolicy:
             built.clear()
             h = compute_H(d, policy, include_n0=True)
