@@ -80,10 +80,24 @@ _TAGS = {"+": 1, "-": -1, "*": SINGULAR}
 _TAG_OF = {sign: tag for tag, sign in _TAGS.items()}
 
 
+def _tuple(items, what: str) -> tuple:
+    """tuple(items), or a one-line GaussCodeError naming `what` if items is not iterable."""
+    try:
+        items = iter(items)
+    except TypeError:
+        raise GaussCodeError("%s must be iterable, not %r" % (what, items)) from None
+    return tuple(items)
+
+
 def _validate(events):
     if not {Event}.issuperset(map(type, events)):
         pos = next(pos for pos, ev in enumerate(events, start=1) if type(ev) is not Event)
         raise GaussCodeError("event at position %d is %r, not an Event" % (pos, events[pos - 1]))
+    # An equal float or bool passes the checks by value; one type scan per column.
+    # The ids are scanned first, before the loop hashes them and formats them with %d.
+    if not {int}.issuperset(map(type, map(itemgetter(0), events))):
+        ev = next(ev for ev in events if type(ev.chord) is not int)
+        raise GaussCodeError("chord id %r is not an int" % (ev.chord,))
     seen = {}
     for pos, ev in enumerate(events, start=1):
         if ev.kind not in ("O", "U"):
@@ -94,10 +108,6 @@ def _validate(events):
         if ev.kind in slot:
             raise GaussCodeError("duplicate %s token for chord %d" % (ev.kind, ev.chord))
         slot[ev.kind] = ev
-    # An equal float or bool passes the checks by value; one type scan per column.
-    if not {int}.issuperset(map(type, seen)):
-        cid = next(c for c in seen if type(c) is not int)
-        raise GaussCodeError("chord id %r is not an int" % (cid,))
     if not {int}.issuperset(map(type, map(itemgetter(2), events))):
         ev = next(ev for ev in events if type(ev.sign) is not int)
         raise GaussCodeError("chord %d has sign %r, not an int" % (ev.chord, ev.sign))
@@ -119,7 +129,7 @@ class GaussDiagram:
     events: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "events", tuple(self.events))
+        object.__setattr__(self, "events", _tuple(self.events, "events"))
         _validate(self.events)
 
     @classmethod
@@ -203,7 +213,7 @@ def from_chord_positions(chords) -> GaussDiagram:
     Positions must be ints (not bools) forming a permutation of 1..2k; ids
     are assigned 1..k in input order.
     """
-    chords = list(chords)
+    chords = _tuple(chords, "chords")
     events = {}
     for i, entry in enumerate(chords, start=1):
         try:

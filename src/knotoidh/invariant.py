@@ -33,7 +33,9 @@ each chord's class cells ((n, phi), count) on sorted by (n, phi), one per
 class and none zero, and _index_polys alone turns them into Ind_c^n: a run
 of equal n is already its sorted term tuple.  from_summands sums the signs
 per (n, m, P) before it builds anything, so H gets one ZPoly per distinct
-exponent polynomial, shared by every term that has it.  The class and
+exponent polynomial, shared by every term that has it.  It builds them
+unchecked (ZPoly._built): each P it is given is already canonical, a run of
+sorted class cells or the terms of a checked ZPoly.  The class and
 reduced exponent of a crossing depend only on |d(c)|, its signed degree
 and the policy, so they are found once per process and kept, one plan per
 (|d(c)|, policy), for every later call (_plan).
@@ -107,7 +109,9 @@ class Invariant:
     def from_summands(cls, policy, items):
         """Sum of s (t^P - 1) y^n over items (n, m, P, s), P reduced mod m.
 
-        P is given by its terms, sorted as in ZPoly.terms.  The signs are
+        P is given by its terms, exactly as in ZPoly.terms: int (exponent,
+        coefficient) pairs sorted by exponent, distinct exponents, no zero
+        coefficient; this is not checked.  The signs are
         summed per (n, m, P) first, so each distinct P becomes one ZPoly and
         each nonzero stored term one TermKey.  A zero P adds nothing, since
         t^0 - 1 = 0.
@@ -123,7 +127,7 @@ class Invariant:
             if s:
                 poly = polys.get(P)
                 if poly is None:
-                    poly = polys[P] = ZPoly(dict(P))  # distinct exponents: nothing to merge
+                    poly = polys[P] = ZPoly._built(P)
                 exp[TermKey(n, m, poly)] = s
         return cls(policy, exp, const)
 

@@ -61,6 +61,9 @@ class ZPoly:
     Terms are kept as a sorted tuple of (exponent, coefficient) pairs with
     zero coefficients dropped, so equal polynomials compare equal and can
     be used as dictionary keys; the hash is taken once, at construction.
+    ZPoly(...) checks, merges and sorts what it is given.  _built trusts a
+    tuple that is already canonical and checks nothing; its one caller,
+    Invariant.from_summands, gets its terms from the library alone.
     """
 
     __slots__ = ("terms", "_hash")
@@ -77,6 +80,13 @@ class ZPoly:
             items = merged.items()
         self.terms = tuple(sorted(filter(itemgetter(1), items)))
         self._hash = hash(self.terms)
+
+    @classmethod
+    def _built(cls, terms: tuple) -> "ZPoly":
+        """A ZPoly on terms already as in ZPoly.terms: int pairs, sorted, distinct, nonzero."""
+        p = object.__new__(cls)
+        p.terms, p._hash = terms, hash(terms)
+        return p
 
     @classmethod
     def const(cls, c: int) -> "ZPoly":
@@ -98,9 +108,13 @@ class ZPoly:
         return self._hash
 
     def __add__(self, other: "ZPoly") -> "ZPoly":
+        if not isinstance(other, ZPoly):
+            return NotImplemented
         return ZPoly(self.terms + other.terms)
 
     def __sub__(self, other: "ZPoly") -> "ZPoly":
+        if not isinstance(other, ZPoly):
+            return NotImplemented
         return ZPoly(self.terms + tuple((e, -c) for e, c in other.terms))
 
     def __neg__(self) -> "ZPoly":

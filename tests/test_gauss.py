@@ -158,6 +158,10 @@ ENTRY = "chord entry %s is not (over_pos, under_pos, sign) with int positions"
     (lambda: from_chord_positions([(1.0, 2, 1)]), ENTRY % "(1.0, 2, 1)"),
     (lambda: from_chord_positions([(1, 3, 1), (True, 4, 1)]), ENTRY % "(True, 4, 1)"),
     (lambda: from_chord_positions([(1, 2.0, 1)]), ENTRY % "(1, 2.0, 1)"),
+    (lambda: GaussDiagram((Event([1], "O", 1), Event([1], "U", 1))), "chord id [1] is not an int"),
+    (lambda: GaussDiagram((Event("a", "O", 7), Event("a", "U", 7))), "chord id 'a' is not an int"),
+    (lambda: GaussDiagram(None), "events must be iterable, not None"),
+    (lambda: from_chord_positions(None), "chords must be iterable, not None"),
 ])
 def test_an_event_or_chord_entry_of_the_wrong_shape_is_rejected(make, message):
     with pytest.raises(GaussCodeError) as exc:

@@ -1,6 +1,7 @@
 """Every imported name in the package and its tests is used, every private
-top-level name of the package is read, and the brute-force oracle imports
-nothing but the standard library."""
+top-level name of the package is read, the unchecked ZPoly constructor is
+called from one place, and the brute-force oracle imports nothing but the
+standard library."""
 
 import ast
 import sys
@@ -73,6 +74,37 @@ def test_scan_flags_a_dead_helper():
                         "def _f(): return _A\nclass _C: pass\ndef g(): pass\n"),
                "b.py": "from a import _C\n_D = 0\n_D = 1\n"}
     assert dead_private_names(sources) == [("a.py", "_B"), ("a.py", "_f"), ("b.py", "_D")]
+
+
+def unchecked_zpoly_sites(sources: dict) -> list:
+    """(module, enclosing class.function) of every `ZPoly._built` in the sources."""
+    sites = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = scope + (node.name,)
+        if (isinstance(node, ast.Attribute) and node.attr == "_built"
+                and isinstance(node.value, ast.Name) and node.value.id == "ZPoly"):
+            sites.append((module, ".".join(scope)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, ())
+    return sorted(sites)
+
+
+def test_unchecked_zpolys_are_built_only_by_from_summands():
+    """Only from_summands may trust its terms: every other ZPoly goes through ZPoly(...)."""
+    package = {p.name: p.read_text() for p in ROOT.glob("src/knotoidh/*.py")}
+    assert unchecked_zpoly_sites(package) == [("invariant.py", "Invariant.from_summands")]
+
+
+def test_scan_finds_every_unchecked_zpoly_site():
+    sources = {"a.py": ("class A:\n    def f(self, P):\n        return ZPoly._built(P)\n"
+                        "g = ZPoly._built\nGaussDiagram._built(())\n"),
+               "b.py": "def h():\n    return [ZPoly._built(())]\n"}
+    assert unchecked_zpoly_sites(sources) == [("a.py", ""), ("a.py", "A.f"), ("b.py", "h")]
 
 
 def imported_modules(source: str) -> set:

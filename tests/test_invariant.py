@@ -281,14 +281,19 @@ def test_from_summands_stores_m_only_for_nonconstant_exponents():
 
 
 def test_compute_H_builds_one_ZPoly_per_distinct_exponent_polynomial(monkeypatch):
-    built = []
-    init = ZPoly.__init__
+    built = []  # every ZPoly made, checked or not
+    init, unchecked = ZPoly.__init__, ZPoly._built.__func__
 
     def counted(self, terms=()):
         built.append(self)
         init(self, terms)
 
+    def counted_unchecked(cls, terms):
+        built.append(unchecked(cls, terms))
+        return built[-1]
+
     monkeypatch.setattr(ZPoly, "__init__", counted)
+    monkeypatch.setattr(ZPoly, "_built", classmethod(counted_unchecked))
     rows, kernel = random_diagram(30, 5), random_diagram(200, 3)
     assert rows.k < _KERNEL_MIN_CHORDS <= kernel.k
     for d in (rows, kernel):
@@ -299,6 +304,25 @@ def test_compute_H_builds_one_ZPoly_per_distinct_exponent_polynomial(monkeypatch
             for key in h.exp_terms:
                 assert shared.setdefault(key.P.terms, key.P) is key.P
             assert len(built) == len(shared) < len(h.exp_terms)
+
+
+def assert_canonical_polys(h):
+    """Every exponent polynomial of h is the ZPoly that the checked constructor makes."""
+    for key in h.exp_terms:
+        checked = ZPoly(key.P.terms)
+        assert key.P == checked and hash(key.P) == hash(checked)
+        assert all(type(x) is int for term in key.P.terms for x in term)
+
+
+@pytest.mark.parametrize("k", [6, 30, _KERNEL_MIN_CHORDS, 90])
+@pytest.mark.parametrize("policy", list(ReductionPolicy))
+def test_unchecked_exponent_polynomials_are_canonical(k, policy):
+    for seed in range(3):
+        d = random_diagram(k, seed)
+        for include_n0 in (False, True):
+            assert_canonical_polys(compute_H(d, policy, include_n0))
+        for cid in range(1, k + 1, max(1, k // 6)):
+            assert_canonical_polys(crossing_change_delta(d, cid, policy))
 
 
 @given(sizes, seeds, policies, st.booleans())

@@ -83,6 +83,13 @@ def test_values_that_are_not_ints_raise(terms):
         ZPoly(terms)
 
 
+def test_arithmetic_with_a_non_zpoly_raises_type_error():
+    p = ZPoly.monomial(2, 1)
+    for combine in (lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: p - object()):
+        with pytest.raises(TypeError, match="^unsupported operand type"):
+            combine()
+
+
 def test_constructors():
     assert ZPoly.const(0).terms == ()
     assert ZPoly.const(-3).terms == ((0, -3),)
