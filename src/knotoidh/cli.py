@@ -7,6 +7,10 @@
     knotoidh selftest --samples 200 --seed 1
 
 Exit codes: 0 success, 1 property failure, 2 usage or parse error.
+
+`compute`, `compare` and `gordian` reach H through one function,
+`_each_H`: it parses a code, computes every H before anything is printed,
+and names the code or `.gko` entry that a `GaussCodeError` came from.
 """
 
 from __future__ import annotations
@@ -31,34 +35,30 @@ from .zpoly import ReductionPolicy
 __all__ = ["PROPERTIES", "main", "run_selftest", "symmetry_image"]
 
 
-def _pair_H(args):
-    """H of code_a, then of code_b, under --mode; an error names the code it came from."""
-    policy = ReductionPolicy(args.mode)
-    pair = []
-    for name in ("code_a", "code_b"):
-        try:
-            pair.append(compute_H(parse_gauss_code(getattr(args, name)), policy))
-        except GaussCodeError as exc:
-            raise GaussCodeError("%s: %s" % (name, exc)) from None
-    return pair
+def _each_H(named, mode, include_n0=False) -> list:
+    """H of every (name, code or diagram) pair under `mode`, all before any
+    is printed, so one that fails rejects them all; a str is parsed here.
 
-
-def _cmd_compute(args) -> int:
-    if args.file is not None:
-        named = load_gko(args.file)
-    else:
-        named = [(None, parse_gauss_code(args.code))]
-    policy = ReductionPolicy(args.mode)
-    texts = []  # every H first, so a diagram that fails rejects the whole file
-    for name, d in named:
+    A GaussCodeError is raised again as "<name>: <message>" unless the
+    name is None.
+    """
+    policy = ReductionPolicy(mode)
+    out = []
+    for name, code in named:
         try:
-            texts.append(render(compute_H(d, policy, args.include_n0), args.format))
+            out.append(compute_H(parse_gauss_code(code) if isinstance(code, str) else code,
+                                 policy, include_n0))
         except GaussCodeError as exc:
             if name is None:
                 raise
             raise GaussCodeError("%s: %s" % (name, exc)) from None
-    for text in texts:
-        print(text)
+    return out
+
+
+def _cmd_compute(args) -> int:
+    named = [(None, args.code)] if args.file is None else load_gko(args.file)
+    for h in _each_H(named, args.mode, args.include_n0):
+        print(render(h, args.format))
     return 0
 
 
@@ -69,7 +69,7 @@ def symmetry_image(h: Invariant, kind: str) -> Invariant:
 
 
 def _cmd_compare(args) -> int:
-    ha, hb = _pair_H(args)
+    ha, hb = _each_H([("code_a", args.code_a), ("code_b", args.code_b)], args.mode)
     print("equal" if ha == hb else "distinct")
     if args.check == "none":
         return 0
@@ -81,7 +81,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gordian(args) -> int:
-    ha, hb = _pair_H(args)
+    ha, hb = _each_H([("code_a", args.code_a), ("code_b", args.code_b)], args.mode)
     try:
         dec = decompose(ha - hb)
     except NotHomotopyForm as exc:
@@ -174,10 +174,11 @@ PROPERTIES = (
 
 def run_selftest(samples: int = 100, max_chords: int = 6, seed: int = 0) -> dict:
     """Seeded property battery; `ok` ignores non-fatal Literal walk failures."""
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
-    if max_chords < 2:
-        raise ValueError("max_chords must be at least 2")
+    for name, value, least in (("samples", samples, 1), ("max_chords", max_chords, 2)):
+        if type(value) is not int:
+            raise ValueError("%s must be an int, not %s" % (name, type(value).__name__))
+        if value < least:
+            raise ValueError("%s must be at least %d" % (name, least))
     rng = random.Random(seed)
     props = []
     for name, check, fatal_under_literal in PROPERTIES:

@@ -89,6 +89,13 @@ def _tuple(items, what: str) -> tuple:
     return tuple(items)
 
 
+def _text(text, what: str) -> str:
+    """text, or a one-line GaussCodeError naming its type if it is not a str."""
+    if not isinstance(text, str):
+        raise GaussCodeError("%s must be a str, not %s" % (what, type(text).__name__))
+    return text
+
+
 def _validate(events):
     if not {Event}.issuperset(map(type, events)):
         pos = next(pos for pos, ev in enumerate(events, start=1) if type(ev) is not Event)
@@ -236,7 +243,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     The checks run over whole columns of tokens; only a code that fails one
     is walked token by token (_reject).
     """
-    found = _TOKEN.findall(text)
+    found = _TOKEN.findall(_text(text, "a Gauss code"))
     if not found:
         return GaussDiagram(())
     kinds, ids, tags, junk = zip(*found)
@@ -346,7 +353,7 @@ def _oriented(rng, pairs) -> GaussDiagram:
 def parse_gko(text: str) -> list:
     """Parse a .gko collection: `name: code` lines, # comments, blanks."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_text(text, "a .gko collection").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -10,6 +10,8 @@ JSON-able MoveSpec so walks can be traced and replayed.
 Each kind is written once, in `_MOVES`: its param schema (checked when a
 MoveSpec is built and on direct calls), apply, inverse and site
 enumerator, which `apply_move`, `inverse_spec` and `random_walk` read.
+`MOVE_KINDS` is read from `_MOVES`, in its order, and an R3 site's params
+are its `R3Config` fields, read through `dataclasses.fields`.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import json
 import random
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from types import MappingProxyType
 
@@ -52,17 +54,18 @@ BACKWARD = "backward"
 FIRST_POSITIVE = "first_positive"
 FIRST_NEGATIVE = "first_negative"
 
-MOVE_KINDS = ("r1_insert", "r1_delete", "r2_insert", "r2_delete", "r3")
-
 
 class MoveError(ValueError):
     """Raised when a move's params or its pattern precondition fail."""
 
 
 def _check(name, value, want):
-    """A param value of type `want`: int, a list length, or the allowed values."""
+    """A param value of type `want`: int, another class, a list length, or
+    the allowed values."""
     if want is int:
         ok, what = type(value) is int, "an integer"
+    elif isinstance(want, type):
+        ok, what = isinstance(value, want), "of type " + want.__name__
     elif type(want) is int:
         ok = (isinstance(value, (list, tuple)) and len(value) == want
               and all(type(v) is int for v in value))
@@ -126,6 +129,15 @@ class R3Config:
     variant: str
     bases: tuple
     roles: tuple
+
+
+def _r3_params(config) -> dict:
+    """The r3 params of a config, one per R3Config field, in field order.
+
+    The values are read as they are: dataclasses.asdict would deep-copy
+    them, and die on a value that cannot be copied before _check sees it.
+    """
+    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 # Six events of a config in position order (A1 A2 B1 B2 C1 C2), as
@@ -303,8 +315,7 @@ def r3_apply(d: GaussDiagram, config: R3Config) -> GaussDiagram:
     The config is revalidated against both sides of its variant, so
     applying the same config twice returns the original diagram.
     """
-    prm = _check_call("r3", variant=config.variant, bases=config.bases,
-                      roles=config.roles)
+    prm = _check_call("r3", **_r3_params(_check("config", config, R3Config)))
     p, q, r = prm["bases"]
     if not (1 <= p and p + 1 < q and q + 1 < r and r + 1 <= 2 * d.k):
         raise MoveError("stale R3 configuration: bases %r out of range" % (config.bases,))
@@ -397,17 +408,19 @@ _MOVES = {
          "roles": (3, ...)},
         lambda d, **prm: r3_apply(d, R3Config(**prm)),
         lambda d, prm: MoveSpec("r3", prm),
-        _listed(lambda d: detect_r3(d), lambda c: {"variant": c.variant, "bases": c.bases,
-                                                   "roles": c.roles})),
+        _listed(lambda d: detect_r3(d), _r3_params)),
 }
+MOVE_KINDS = tuple(_MOVES)
 
 
 def apply_move(d: GaussDiagram, spec: MoveSpec) -> GaussDiagram:
+    _check("spec", spec, MoveSpec)
     return _MOVES[spec.kind].apply(d, **spec.params)
 
 
 def inverse_spec(d: GaussDiagram, spec: MoveSpec) -> MoveSpec:
     """The move undoing `spec`, where `spec` has not yet been applied to d."""
+    _check("spec", spec, MoveSpec)
     return _MOVES[spec.kind].inverse(d, spec.params)
 
 
@@ -450,6 +463,8 @@ def format_trace(specs) -> str:
 
 
 def parse_trace(text: str) -> list:
+    if not isinstance(text, str):
+        raise MoveError("a move trace must be a str, not %s" % type(text).__name__)
     out = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()

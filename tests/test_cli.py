@@ -98,6 +98,13 @@ def test_compute_rejects_a_file_with_a_singular_diagram_by_its_name(capsys):
     assert (rc, out, err) == (2, "", "error: diagram has singular chords; resolve them first\n")
 
 
+def test_compute_rejects_a_malformed_file_line_by_its_number_and_name(capsys, tmp_path):
+    path = tmp_path / "bad.gko"
+    path.write_text("a: %s\nb: O1+ X\n" % CODE)
+    rc, out, err = run(capsys, "compute", "--file", str(path))
+    assert (rc, out, err) == (2, "", "error: line 2 (b): malformed token 'X'\n")
+
+
 @pytest.mark.parametrize("command", [["compare"], ["gordian"], ["gordian", "--json"]])
 @pytest.mark.parametrize("codes, message", [
     (("O1* U1*", "O1+ U1+"), "code_a: diagram has singular chords; resolve them first"),
@@ -273,6 +280,19 @@ def test_selftest_rejects_samples_below_one(capsys, value):
 def test_run_selftest_rejects_samples_below_one():
     with pytest.raises(ValueError, match="^samples must be at least 1$"):
         run_selftest(0, 6, 0)
+
+
+@pytest.mark.parametrize("samples, max_chords, message", [
+    (True, 2, "samples must be an int, not bool"),
+    (2.0, 2, "samples must be an int, not float"),
+    ("2", 2, "samples must be an int, not str"),
+    (2, 2.5, "max_chords must be an int, not float"),
+    (2, True, "max_chords must be an int, not bool"),
+])
+def test_run_selftest_rejects_counts_that_are_not_ints(samples, max_chords, message):
+    with pytest.raises(ValueError) as exc:
+        run_selftest(samples, max_chords, 0)
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("value", ["1", "0", "-3"])

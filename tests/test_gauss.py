@@ -19,6 +19,7 @@ from knotoidh.gauss import (
     reverse,
     serialize,
 )
+from knotoidh.moves import MoveError, parse_trace
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sizes = st.integers(min_value=1, max_value=8)
@@ -192,6 +193,20 @@ def test_reverse_and_mirror_are_involutive(k, seed):
     d = random_diagram(k, seed)
     assert reverse(reverse(d)) == d
     assert mirror(mirror(d)) == d
+
+
+@pytest.mark.parametrize("read, text, error, message", [
+    (parse_gauss_code, None, GaussCodeError, "a Gauss code must be a str, not NoneType"),
+    (parse_gauss_code, b"O1+ U1+", GaussCodeError, "a Gauss code must be a str, not bytes"),
+    (parse_gko, None, GaussCodeError, "a .gko collection must be a str, not NoneType"),
+    (parse_gko, b"a: O1+ U1+", GaussCodeError, "a .gko collection must be a str, not bytes"),
+    (parse_trace, None, MoveError, "a move trace must be a str, not NoneType"),
+    (parse_trace, ["{}"], MoveError, "a move trace must be a str, not list"),
+])
+def test_a_text_reader_rejects_input_that_is_not_a_str(read, text, error, message):
+    with pytest.raises(error) as exc:
+        read(text)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_parse_gko_names_and_comments():

@@ -450,6 +450,13 @@ DIRECT_CALLS = [
      "cid"),
     ("inverse r2_delete stale",
      lambda d: inverse_spec(d, MoveSpec("r2_delete", {"id1": 1, "id2": 99})), "id2"),
+    ("r3_apply None", lambda d: r3_apply(d, None), "config"),
+    ("r3_apply generator bases",
+     lambda d: r3_apply(d, R3Config("3a", (p for p in (1, 3, 5)), (1, 2, 3))), "bases"),
+    ("r3_apply params dict",
+     lambda d: r3_apply(d, {"variant": "3a", "bases": (1, 3, 5), "roles": (1, 2, 3)}), "config"),
+    ("apply_move kind string", lambda d: apply_move(d, "r3"), "spec"),
+    ("inverse_spec None", lambda d: inverse_spec(d, None), "spec"),
 ]
 
 
