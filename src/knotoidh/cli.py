@@ -11,28 +11,39 @@ Exit codes: 0 success, 1 property failure, 2 usage or parse error.
 `compute`, `compare` and `gordian` reach H through one function,
 `_each_H`: it parses a code, computes every H before anything is printed,
 and names the code or `.gko` entry that a `GaussCodeError` came from.
+
+Each choice and bound is declared once and read by the parser: `--mode`
+from `ReductionPolicy`, `--format` from `render`'s format table, `--check`
+from `_SYMMETRIES` (the kinds `symmetry_image` accepts) plus `none`, and
+the `selftest` flags' least values from `_LEAST`, which `run_selftest`
+checks too.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from functools import cache, partial
 
-from .gauss import (GaussCodeError, bundled_diagrams, crossing_change,
+from .gauss import (GaussCodeError, _seeded, bundled_diagrams, crossing_change,
                     load_gko, mirror, parse_gauss_code, random_diagram,
                     random_nested_diagram, reverse, serialize)
 from .gordian import (NotHomotopyForm, crossing_change_delta, decompose,
                       decomposition_json)
-from .invariant import Invariant, compute_H, render, subst_t_inverse, subst_z_inverse
+from .invariant import (_FORMATS, Invariant, compute_H, render, subst_t_inverse,
+                        subst_z_inverse)
 from . import moves
 from .moves import format_trace, random_walk
 from .singular import random_singular_diagram, singular_H
 from .zpoly import ReductionPolicy
 
 __all__ = ["PROPERTIES", "main", "run_selftest", "symmetry_image"]
+
+# The symmetries symmetry_image predicts, in the order `--check` offers them.
+_SYMMETRIES = ("reverse", "mirror")
+# The least value of each run_selftest count; `selftest` checks its flags against it.
+_LEAST = {"samples": 1, "max_chords": 2}
 
 
 def _each_H(named, mode, include_n0=False) -> list:
@@ -64,6 +75,9 @@ def _cmd_compute(args) -> int:
 
 def symmetry_image(h: Invariant, kind: str) -> Invariant:
     """Predicted H of the reversed ("reverse") or mirrored ("mirror") diagram."""
+    if kind not in _SYMMETRIES:
+        raise ValueError("unknown symmetry %r; expected one of %s"
+                         % (kind, ", ".join(_SYMMETRIES)))
     h = subst_t_inverse(h)
     return h if kind == "reverse" else -subst_z_inverse(h)
 
@@ -163,8 +177,7 @@ def _gordian_bound(rng, max_chords, policy):
 # exponents are not move invariant, so the rows with a walk only report.
 PROPERTIES = (
     ("move_invariance", _move_invariance, False),
-    ("reverse_identity", partial(_symmetry_identity, "reverse"), True),
-    ("mirror_identity", partial(_symmetry_identity, "mirror"), True),
+    *(("%s_identity" % kind, partial(_symmetry_identity, kind), True) for kind in _SYMMETRIES),
     ("order_one", _order_one, True),
     ("crossing_change_delta", _crossing_change_delta, True),
     ("nested_zero_height", _nested_zero_height, True),
@@ -174,12 +187,12 @@ PROPERTIES = (
 
 def run_selftest(samples: int = 100, max_chords: int = 6, seed: int = 0) -> dict:
     """Seeded property battery; `ok` ignores non-fatal Literal walk failures."""
-    for name, value, least in (("samples", samples, 1), ("max_chords", max_chords, 2)):
+    for name, value in (("samples", samples), ("max_chords", max_chords)):
         if type(value) is not int:
             raise ValueError("%s must be an int, not %s" % (name, type(value).__name__))
-        if value < least:
-            raise ValueError("%s must be at least %d" % (name, least))
-    rng = random.Random(seed)
+        if value < _LEAST[name]:
+            raise ValueError("%s must be at least %d" % (name, _LEAST[name]))
+    rng = _seeded(seed)
     props = []
     for name, check, fatal_under_literal in PROPERTIES:
         for policy in ReductionPolicy:
@@ -195,12 +208,11 @@ def run_selftest(samples: int = 100, max_chords: int = 6, seed: int = 0) -> dict
 
 
 def _cmd_selftest(args) -> int:
-    if args.samples < 1:
-        print("error: --samples must be at least 1", file=sys.stderr)
-        return 2
-    if args.max_chords < 2:
-        print("error: --max-chords must be at least 2", file=sys.stderr)
-        return 2
+    for name, least in _LEAST.items():
+        if getattr(args, name) < least:
+            print("error: --%s must be at least %d" % (name.replace("_", "-"), least),
+                  file=sys.stderr)
+            return 2
     report = run_selftest(args.samples, args.max_chords, args.seed)
     print(json.dumps(report, indent=2))
     return 0 if report["ok"] else 1
@@ -214,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_mode(p):
-        p.add_argument("--mode", choices=["quotient", "literal"],
+        p.add_argument("--mode", choices=[policy.value for policy in ReductionPolicy],
                        default="quotient", help="exponent reduction policy")
 
     p = sub.add_parser("compute", help="evaluate H for one code or a .gko file")
@@ -222,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--code", help="Gauss code (empty string = trivial)")
     src.add_argument("--file", help=".gko collection, one `name: code` per line")
     add_mode(p)
-    p.add_argument("--format", choices=["text", "json", "latex"], default="text")
+    p.add_argument("--format", choices=list(_FORMATS), default="text")
     p.add_argument("--include-n0", action="store_true", dest="include_n0",
                    help="keep the gcd-0 stratum")
     p.set_defaults(func=_cmd_compute)
@@ -231,7 +243,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("code_a")
     p.add_argument("code_b")
     add_mode(p)
-    p.add_argument("--check", choices=["reverse", "mirror", "none"], default="none",
+    p.add_argument("--check", choices=[*_SYMMETRIES, "none"], default="none",
                    help="also verify the symmetry identity for the pair")
     p.set_defaults(func=_cmd_compare)
 

@@ -305,11 +305,21 @@ def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
                                      for ev in d.events))
 
 
+def _seeded(seed, error=ValueError, **counts) -> random.Random:
+    """random.Random(seed), once seed and every count are ints (not bools)
+    and no count is negative; else `error` naming the param."""
+    for name, value in (*counts.items(), ("seed", seed)):
+        if type(value) is not int:
+            raise error("%s must be an int, not %s" % (name, type(value).__name__))
+    for name, value in counts.items():
+        if value < 0:
+            raise error("%s must be non-negative" % name)
+    return random.Random(seed)
+
+
 def random_diagram(k: int, seed: int) -> GaussDiagram:
     """Seed-deterministic diagram, uniform over pairings, signs, directions."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    rng = random.Random(seed)
+    rng = _seeded(seed, k=k)
     positions = list(range(1, 2 * k + 1))
     rng.shuffle(positions)
     return _oriented(rng, zip(positions[::2], positions[1::2]))
@@ -321,9 +331,7 @@ def random_nested_diagram(k: int, seed: int) -> GaussDiagram:
     No two chords interleave, so every degree is 0 and H vanishes; used
     to exercise the zero-height side of the certificate.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    rng = random.Random(seed)
+    rng = _seeded(seed, k=k)
     spans = []
 
     def fill(lo, count):

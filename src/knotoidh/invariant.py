@@ -48,7 +48,7 @@ import math
 import sys
 from array import array
 from collections import defaultdict, namedtuple
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress
 from operator import eq, itemgetter, neg, sub
 
@@ -532,12 +532,15 @@ def invariant_from_json(text: str) -> Invariant:
     return Invariant(policy, exp, const)
 
 
+# render's formats, in the order the CLI offers them: fmt -> inv -> str.
+_FORMATS = {"text": partial(_render_terms, latex=False), "json": invariant_to_json,
+            "latex": partial(_render_terms, latex=True)}
+
+
 def render(inv: Invariant, fmt: str = "text") -> str:
-    """Render to `text`, `latex` or `json`; strata ascend in n, terms in (m, P)."""
-    if fmt == "text":
-        return _render_terms(inv, latex=False)
-    if fmt == "latex":
-        return _render_terms(inv, latex=True)
-    if fmt == "json":
-        return invariant_to_json(inv)
-    raise ValueError("unknown format %r" % fmt)
+    """Render to `text`, `json` or `latex`; strata ascend in n, terms in (m, P)."""
+    try:
+        to_text = _FORMATS[fmt]
+    except (KeyError, TypeError):  # TypeError: an unhashable fmt
+        raise ValueError("unknown format %r" % (fmt,)) from None
+    return to_text(inv)

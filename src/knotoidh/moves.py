@@ -11,20 +11,22 @@ Each kind is written once, in `_MOVES`: its param schema (checked when a
 MoveSpec is built and on direct calls), apply, inverse and site
 enumerator, which `apply_move`, `inverse_spec` and `random_walk` read.
 `MOVE_KINDS` is read from `_MOVES`, in its order, and an R3 site's params
-are its `R3Config` fields, read through `dataclasses.fields`.
+are its `R3Config` fields, read in field order through `vars`, which
+copies nothing, so `_check` sees each value as given.  Every chord id
+param is checked by `_chord`; `r1_insert` and `r2_insert` pass it the
+number of chords they add.
 """
 
 from __future__ import annotations
 
 import json
-import random
 from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
 
-from .gauss import Event, GaussDiagram
+from .gauss import Event, GaussDiagram, _seeded
 
 __all__ = [
     "MoveError",
@@ -131,15 +133,6 @@ class R3Config:
     roles: tuple
 
 
-def _r3_params(config) -> dict:
-    """The r3 params of a config, one per R3Config field, in field order.
-
-    The values are read as they are: dataclasses.asdict would deep-copy
-    them, and die on a value that cannot be copied before _check sees it.
-    """
-    return {f.name: getattr(config, f.name) for f in fields(config)}
-
-
 # Six events of a config in position order (A1 A2 B1 B2 C1 C2), as
 # (role, kind, sign), on the pairwise-crossing side of each variant.  The
 # move swaps the two events of each pair (r3_apply), so the image side,
@@ -193,10 +186,10 @@ def _check_gap(d, gap):
         raise MoveError("gap %d out of range 0..%d" % (gap, 2 * d.k))
 
 
-def _chord(d, name, cid):
-    """cid, checked to be a chord id of d."""
-    if not 1 <= cid <= d.k:
-        raise MoveError("param %r must be a chord id in 1..%d, got %d" % (name, d.k, cid))
+def _chord(d, name, cid, added=0):
+    """cid, checked to be a chord id of d once `added` chords are added to it."""
+    if not 1 <= cid <= d.k + added:
+        raise MoveError("param %r must be a chord id in 1..%d, got %d" % (name, d.k + added, cid))
     return cid
 
 
@@ -205,10 +198,7 @@ def r1_insert(d: GaussDiagram, gap: int, direction: str = FORWARD,
     """Add an isolated kink chord at the gap (0 = before everything)."""
     _check_call("r1_insert", gap=gap, direction=direction, sign=sign, cid=cid)
     _check_gap(d, gap)
-    if cid is None:
-        cid = d.k + 1
-    if not 1 <= cid <= d.k + 1:
-        raise MoveError("cid %d out of range 1..%d" % (cid, d.k + 1))
+    cid = d.k + 1 if cid is None else _chord(d, "cid", cid, 1)
     events = _shift_ids(d.events, (cid,))
     kinds = ("O", "U") if direction == FORWARD else ("U", "O")
     pair = (Event(cid, kinds[0], sign), Event(cid, kinds[1], sign))
@@ -237,9 +227,9 @@ def r2_insert(d: GaussDiagram, gap_a: int, gap_b: int,
     _check_gap(d, gap_b)
     if gap_a >= gap_b:
         raise MoveError("gap_a must be strictly less than gap_b")
-    ca, cb = cids
-    if ca == cb or not (1 <= ca <= d.k + 2 and 1 <= cb <= d.k + 2):
-        raise MoveError("cids %r invalid for a %d-chord diagram" % (cids, d.k))
+    ca, cb = (_chord(d, "cids", c, 2) for c in cids)
+    if ca == cb:
+        raise MoveError("param 'cids' must be two different chord ids, got %r" % (cids,))
     sa = 1 if assignment == FIRST_POSITIVE else -1
     events = _shift_ids(d.events, tuple(sorted((ca, cb))))
     overs = (Event(ca, "O", sa), Event(cb, "O", -sa))
@@ -315,7 +305,7 @@ def r3_apply(d: GaussDiagram, config: R3Config) -> GaussDiagram:
     The config is revalidated against both sides of its variant, so
     applying the same config twice returns the original diagram.
     """
-    prm = _check_call("r3", **_r3_params(_check("config", config, R3Config)))
+    prm = _check_call("r3", **vars(_check("config", config, R3Config)))
     p, q, r = prm["bases"]
     if not (1 <= p and p + 1 < q and q + 1 < r and r + 1 <= 2 * d.k):
         raise MoveError("stale R3 configuration: bases %r out of range" % (config.bases,))
@@ -408,7 +398,7 @@ _MOVES = {
          "roles": (3, ...)},
         lambda d, **prm: r3_apply(d, R3Config(**prm)),
         lambda d, prm: MoveSpec("r3", prm),
-        _listed(lambda d: detect_r3(d), _r3_params)),
+        _listed(lambda d: detect_r3(d), vars)),
 }
 MOVE_KINDS = tuple(_MOVES)
 
@@ -439,7 +429,7 @@ def random_walk(d: GaussDiagram, steps: int, seed: int,
     if not allowed <= set(MOVE_KINDS):
         raise MoveError("unknown move kinds %s" % sorted(allowed - set(MOVE_KINDS)))
     kinds = [kind for kind in MOVE_KINDS if kind in allowed]
-    rng = random.Random(seed)
+    rng = _seeded(seed, MoveError, steps=steps)
     for _ in range(steps):
         sites = [(kind, *_MOVES[kind].sites(d)) for kind in kinds]
         total = sum(count for _, count, _ in sites)

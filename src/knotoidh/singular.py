@@ -10,10 +10,10 @@ while some 1-singular diagram stays nonzero.  The `order_one` row of the
 
 from __future__ import annotations
 
-import random
 from itertools import product
 
-from .gauss import SINGULAR, Event, GaussCodeError, GaussDiagram, _switched, random_diagram
+from .gauss import (SINGULAR, Event, GaussCodeError, GaussDiagram, _seeded, _switched,
+                    random_diagram)
 from .invariant import Invariant, compute_H
 from .zpoly import ReductionPolicy
 
@@ -83,8 +83,8 @@ def singular_H(d: GaussDiagram,
 
 def random_singular_diagram(k: int, s: int, seed: int) -> GaussDiagram:
     """Seed-deterministic k-chord diagram with s chords marked singular."""
-    if not 0 <= s <= k:
-        raise ValueError("need 0 <= s <= k")
     d = random_diagram(k, seed)
-    rng = random.Random(seed)
+    rng = _seeded(seed, s=s)
+    if s > k:
+        raise ValueError("need 0 <= s <= k")
     return make_singular(d, rng.sample(range(1, k + 1), s))

@@ -1,5 +1,6 @@
 """Exit codes and output shapes of the command line entry point."""
 
+import argparse
 import dataclasses
 import json
 from importlib import resources
@@ -11,7 +12,7 @@ from knotoidh.cli import main, run_selftest
 from knotoidh.gauss import (crossing_change, mirror, parse_gauss_code,
                             random_diagram, serialize)
 from knotoidh.gordian import decompose
-from knotoidh.invariant import Invariant, compute_H
+from knotoidh.invariant import _FORMATS, Invariant, compute_H
 from knotoidh.moves import apply_move, parse_trace, random_walk
 from knotoidh.singular import resolutions
 from knotoidh.zpoly import ReductionPolicy
@@ -307,6 +308,18 @@ def test_run_selftest_rejects_max_chords_below_two():
         run_selftest(2, 1, 0)
 
 
+@pytest.mark.parametrize("seed, message", [
+    (None, "seed must be an int, not NoneType"),
+    (True, "seed must be an int, not bool"),
+    (2.5, "seed must be an int, not float"),
+    ("x", "seed must be an int, not str"),
+])
+def test_run_selftest_takes_an_int_seed(seed, message):
+    with pytest.raises(ValueError) as exc:
+        run_selftest(1, 2, seed)
+    assert str(exc.value) == message
+
+
 def test_selftest_accepts_max_chords_two(capsys):
     rc, out, _ = run(capsys, "selftest", "--samples", "3", "--max-chords", "2")
     assert rc == 0 and json.loads(out)["max_chords"] == 2
@@ -315,3 +328,28 @@ def test_selftest_accepts_max_chords_two(capsys):
 def test_usage_error_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["compute"])
+
+
+def choices(command, flag):
+    sub = next(a for a in cli._build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions if flag in a.option_strings)
+
+
+def test_each_choice_is_read_from_its_one_declaration():
+    for command in ("compute", "compare", "gordian"):
+        assert choices(command, "--mode") == [p.value for p in ReductionPolicy]
+    assert choices("compute", "--format") == list(_FORMATS)
+    assert choices("compare", "--check") == [*cli._SYMMETRIES, "none"]
+    # the order is part of every usage message
+    assert [p.value for p in ReductionPolicy] == ["quotient", "literal"]
+    assert list(_FORMATS) == ["text", "json", "latex"]
+    assert [*cli._SYMMETRIES, "none"] == ["reverse", "mirror", "none"]
+
+
+@pytest.mark.parametrize("kind", ["none", "Reverse", None, ["mirror"]])
+def test_symmetry_image_takes_reverse_or_mirror_only(kind):
+    h = compute_H(parse_gauss_code(CODE))
+    with pytest.raises(ValueError) as exc:
+        cli.symmetry_image(h, kind)
+    assert str(exc.value) == "unknown symmetry %r; expected one of reverse, mirror" % (kind,)

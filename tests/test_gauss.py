@@ -163,11 +163,32 @@ ENTRY = "chord entry %s is not (over_pos, under_pos, sign) with int positions"
     (lambda: GaussDiagram((Event("a", "O", 7), Event("a", "U", 7))), "chord id 'a' is not an int"),
     (lambda: GaussDiagram(None), "events must be iterable, not None"),
     (lambda: from_chord_positions(None), "chords must be iterable, not None"),
+    (lambda: GaussDiagram((Event(1, "X", 1), Event(1, "U", 1))),
+     "event at position 1 has kind 'X'"),
+    (lambda: GaussDiagram((Event(1, "O", 1), Event(1, "U", -1))),
+     "chord 1: sign mismatch between O and U tokens"),
+    (lambda: parse_gko("a: O1+ U1+\nno colon here"), "line 2: expected `name: code`"),
 ])
 def test_an_event_or_chord_entry_of_the_wrong_shape_is_rejected(make, message):
     with pytest.raises(GaussCodeError) as exc:
         make()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("draw", [random_diagram, random_nested_diagram])
+@pytest.mark.parametrize("k, seed, message", [
+    (3, None, "seed must be an int, not NoneType"),
+    (3, True, "seed must be an int, not bool"),
+    (3, 1.0, "seed must be an int, not float"),
+    (3, "1", "seed must be an int, not str"),
+    (True, 0, "k must be an int, not bool"),
+    (2.0, 0, "k must be an int, not float"),
+    (-1, 0, "k must be non-negative"),
+])
+def test_a_seeded_draw_takes_an_int_seed_and_count(draw, k, seed, message):
+    with pytest.raises(ValueError) as exc:
+        draw(k, seed)
+    assert type(exc.value) is ValueError and str(exc.value) == message
 
 
 @given(sizes, seeds)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotoidh.gauss import bundled_diagrams, crossing_change, random_diagram
+from knotoidh.gauss import GaussCodeError, bundled_diagrams, crossing_change, random_diagram
 from knotoidh.gordian import (
     NotHomotopyForm,
     crossing_change_delta,
@@ -89,6 +89,13 @@ def test_several_crossing_changes_decompose_within_their_count(data, policy):
 
 def one(n, m, P, coeff, const):
     return Invariant(QUOT, {TermKey(n, m, P): coeff}, {n: const} if const else {})
+
+
+@pytest.mark.parametrize("policy", list(ReductionPolicy))
+def test_delta_rejects_a_singular_chord(policy):
+    with pytest.raises(GaussCodeError) as exc:
+        crossing_change_delta(FIXTURES["singular_witness"], 2, policy)
+    assert str(exc.value) == "chord 2 is singular; resolve it first"
 
 
 def test_unpaired_term_is_rejected():

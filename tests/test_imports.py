@@ -4,10 +4,14 @@ called from one place, and the brute-force oracle imports nothing but the
 standard library."""
 
 import ast
+import importlib
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
+
+import knotoidh
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for p in [*ROOT.glob("src/knotoidh/*.py"), *ROOT.glob("tests/*.py")]
@@ -130,3 +134,14 @@ def test_scan_names_every_imported_module():
     source = ("from __future__ import annotations\nimport json, os.path\n"
               "from knotoidh.gauss import serialize\nfrom . import zpoly\nimport numpy as np\n")
     assert imported_modules(source) == {"__future__", "json", "os", "knotoidh", "", "numpy"}
+
+
+def test_the_package_republishes_exactly_its_modules_public_names():
+    modules = [importlib.import_module("knotoidh." + name) for name in
+               ("gauss", "gordian", "invariant", "moves", "singular", "zpoly")]
+    public = {name for name, obj in vars(knotoidh).items()
+              if not name.startswith("_") and not isinstance(obj, ModuleType)}
+    assert public == {name for module in modules for name in module.__all__}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(knotoidh, name) is getattr(module, name)

@@ -401,6 +401,20 @@ def test_render_formats():
         render(h, "html")
 
 
+@pytest.mark.parametrize("fmt", ["html", "TEXT", None, 1, ["x"], {"json": 1}])
+def test_render_rejects_an_unknown_or_unhashable_format(fmt):
+    with pytest.raises(ValueError) as exc:
+        render(compute_H(FIXTURES["2_2"]), fmt)
+    assert str(exc.value) == "unknown format %r" % (fmt,)
+
+
+def test_an_invariant_hashes_by_value_and_shows_its_policy_and_text():
+    h = compute_H(FIXTURES["5.1.28"], LIT)
+    assert hash(h) == hash(compute_H(FIXTURES["5.1.28"], LIT)) == hash(-(-h))
+    assert repr(h) == "Invariant(literal, %s)" % render(h)
+    assert repr(compute_H(FIXTURES["trivial"])) == "Invariant(quotient, 0)"
+
+
 def test_trivial_diagram_has_zero_invariant():
     h = compute_H(FIXTURES["trivial"])
     assert h.is_zero() and render(h) == "0"

@@ -338,6 +338,20 @@ def test_walk_rejects_a_string_for_allowed():
     assert random_walk(d, 1, 0, allowed=["r3"]) == random_walk(d, 1, 0, allowed={"r3"})
 
 
+@pytest.mark.parametrize("steps, seed, message", [
+    (2, None, "seed must be an int, not NoneType"),
+    (2, 1.0, "seed must be an int, not float"),
+    (2, False, "seed must be an int, not bool"),
+    (2.0, 0, "steps must be an int, not float"),
+    (True, 0, "steps must be an int, not bool"),
+    (-1, 0, "steps must be non-negative"),
+])
+def test_walk_takes_int_steps_and_seed(steps, seed, message):
+    with pytest.raises(MoveError) as exc:
+        random_walk(random_diagram(3, 0), steps, seed)
+    assert str(exc.value) == message
+
+
 def test_apply_move_rejects_unknown_kind():
     with pytest.raises(MoveError, match="unknown"):
         apply_move(random_diagram(1, 0), MoveSpec("r4", {}))
@@ -457,6 +471,10 @@ DIRECT_CALLS = [
      lambda d: r3_apply(d, {"variant": "3a", "bases": (1, 3, 5), "roles": (1, 2, 3)}), "config"),
     ("apply_move kind string", lambda d: apply_move(d, "r3"), "spec"),
     ("inverse_spec None", lambda d: inverse_spec(d, None), "spec"),
+    ("r1_insert cid out of range", lambda d: r1_insert(d, 0, cid=5), "cid"),
+    ("r1_insert cid zero", lambda d: r1_insert(d, 0, cid=0), "cid"),
+    ("r2_insert cids out of range", lambda d: r2_insert(d, 0, 2, cids=(1, 6)), "cids"),
+    ("r2_insert equal cids", lambda d: r2_insert(d, 0, 2, cids=(2, 2)), "cids"),
 ]
 
 

@@ -75,6 +75,21 @@ def test_witness_singular_invariant():
         "(t^(z^-1) + t^(-z) - 2)*y + (t^-1 + t - 2)*y^2"
 
 
+@pytest.mark.parametrize("k, s, seed, message", [
+    (3, 4, 0, "need 0 <= s <= k"),
+    (3, -1, 0, "s must be non-negative"),
+    (4, True, 0, "s must be an int, not bool"),
+    (4, 1.5, 0, "s must be an int, not float"),
+    (4, 1, None, "seed must be an int, not NoneType"),
+    (None, 1, 0, "k must be an int, not NoneType"),
+    (-1, 0, 0, "k must be non-negative"),
+])
+def test_random_singular_diagram_rejects_bad_sizes_and_seeds(k, s, seed, message):
+    with pytest.raises(ValueError) as exc:
+        random_singular_diagram(k, s, seed)
+    assert str(exc.value) == message
+
+
 def test_singular_H_requires_a_singular_chord():
     d = random_diagram(3, 1)
     assert singular_H(d) == compute_H(d)

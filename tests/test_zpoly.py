@@ -83,6 +83,17 @@ def test_values_that_are_not_ints_raise(terms):
         ZPoly(terms)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: reduce_exponent(1, -2, QUOT), "modulus must be non-negative"),
+    (lambda: reduce_exponent(1, -2, LIT), "modulus must be non-negative"),
+    (lambda: ZPoly([(1, 1)]).constant_value(), "not a constant polynomial"),
+])
+def test_a_value_out_of_range_raises_value_error(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def test_arithmetic_with_a_non_zpoly_raises_type_error():
     p = ZPoly.monomial(2, 1)
     for combine in (lambda: p + 1, lambda: 1 + p, lambda: p - 1, lambda: p - object()):
