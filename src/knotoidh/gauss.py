@@ -20,7 +20,10 @@ The entries that take events from outside check them: `GaussDiagram(...)`,
 The library's own builders (the moves, `reverse`, `mirror`,
 `crossing_change` and the singular markings and resolutions) make valid
 events by construction and go through `GaussDiagram._built`, which does not
-check again; the tests check their output instead.
+check again; the tests check their output instead.  Every diagram builds
+its chord table (`_table`) from its events on first use, except one from
+`crossing_change`: that hands its result d's table with the switched chord
+patched in, through `GaussDiagram._built_with_table`, its one caller.
 """
 
 from __future__ import annotations
@@ -144,6 +147,14 @@ class GaussDiagram:
         """A diagram on a tuple of events that a library builder made valid."""
         d = object.__new__(cls)
         object.__setattr__(d, "events", events)
+        return d
+
+    @classmethod
+    def _built_with_table(cls, events: tuple, table: _ChordTable) -> GaussDiagram:
+        """_built(events) with its chord table already made; table must be
+        exactly what _table would build from events."""
+        d = cls._built(events)
+        object.__setattr__(d, "_table", table)  # fills the cached_property
         return d
 
     @property
@@ -298,11 +309,24 @@ def mirror(d: GaussDiagram) -> GaussDiagram:
 
 
 def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
-    """Switch one crossing: flip the chord's direction and its sign."""
+    """Switch one crossing: flip the chord's direction and its sign.
+
+    The result's chord table is d's, patched.  Negating sgn(c) and swapping
+    c's Over and Under endpoints leaves what each endpoint adds to W(p), so
+    W and every other degree stay, and d(c) changes sign (an undefined d(c)
+    stays undefined).  at and mate are shared.
+    """
     if d.chord(cid).sign == SINGULAR:
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)
-    return GaussDiagram._built(tuple(_switched(ev) if ev.chord == cid else ev
-                                     for ev in d.events))
+    over, under, sign, degree, at, mate = d._table
+    o, u = over[cid], under[cid]
+    events = list(d.events)
+    events[o - 1], events[u - 1] = _switched(events[o - 1]), _switched(events[u - 1])
+    over, under, sign, degree = over[:], under[:], sign[:], degree[:]
+    over[cid], under[cid], sign[cid] = u, o, -sign[cid]
+    degree[cid] = degree[cid] and -degree[cid]  # None stays None
+    return GaussDiagram._built_with_table(tuple(events),
+                                          _ChordTable(over, under, sign, degree, at, mate))
 
 
 def _seeded(seed, error=ValueError, **counts) -> random.Random:

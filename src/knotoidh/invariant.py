@@ -26,19 +26,21 @@ include_n0 is set.  Crossing-change deltas and skein sums are signed sums of
 the same summand (t^P - 1) y^n, and Invariant.from_summands is the one place
 that turns summands into stored terms.
 
-compute_H reads the crossing rows of a diagram with fewer than
-_KERNEL_MIN_CHORDS chords; otherwise it counts each chord's crossings per
-(n, phi) class in one bitset sweep (_histogram_cells).  Either source hands
-each chord's class cells ((n, phi), count) on sorted by (n, phi), one per
-class and none zero, and _index_polys alone turns them into Ind_c^n: a run
-of equal n is already its sorted term tuple.  from_summands sums the signs
-per (n, m, P) before it builds anything, so H gets one ZPoly per distinct
-exponent polynomial, shared by every term that has it.  It builds them
-unchecked (ZPoly._built): each P it is given is already canonical, a run of
-sorted class cells or the terms of a checked ZPoly.  The class and
-reduced exponent of a crossing depend only on |d(c)|, its signed degree
-and the policy, so they are found once per process and kept, one plan per
-(|d(c)|, policy), for every later call (_plan).
+Below _KERNEL_MIN_CHORDS chords compute_H reads each chord's crossing row in
+one pass over its span (_row_cells), from position columns that hold each
+endpoint's signed degree and sign as a backward chord sees them, and both
+negated as a forward chord does; no row is built first.  From there on it
+counts each chord's crossings per (n, phi) class in one bitset sweep
+(_histogram_cells).  Either source hands each chord's class cells ((n, phi),
+count) on sorted by (n, phi), one per class and none zero, and _index_polys
+alone turns them into Ind_c^n: a run of equal n is already its sorted term
+tuple.  from_summands sums the signs per (n, m, P) before it builds
+anything, so H gets one ZPoly per distinct exponent polynomial, shared by
+every term that has it.  It builds them unchecked (ZPoly._built): each P it
+is given is already canonical, a run of sorted class cells or the terms of a
+checked ZPoly.  The class and reduced exponent of a crossing depend only on
+|d(c)|, its signed degree and the policy, so they are found once per process
+and kept, one plan per (|d(c)|, policy), for every later call (_plan).
 """
 
 from __future__ import annotations
@@ -79,10 +81,11 @@ __all__ = [
 TermKey = namedtuple("TermKey", ["n", "m", "P"])
 
 # compute_H takes the histogram kernel from this many chords on.  Both
-# sources timed on random_diagram(k, .), k = 14..120, both policies, best of
-# 7 (Python 3.11, 2 CPUs): every threshold from 38 to 48 came within 0.2% of
-# the others and within 1.2% of taking the faster source on each diagram.
-_KERNEL_MIN_CHORDS = 40
+# sources timed through the tail on random_diagram(k, 0..9), even k =
+# 14..120, both policies, best of 7 (Python 3.11, 2 CPUs), four draws: every
+# threshold from 60 to 70 came within 0.2% of the others, 1.5% to 1.7%
+# under 40 and within 2.5% of taking the faster source on each diagram.
+_KERNEL_MIN_CHORDS = 64
 
 # Bytes of a signed bitset field -> its array typecode; see _histogram_cells.
 _FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
@@ -241,22 +244,39 @@ def _index_polys(table, chord_cells, include_n0):
             yield last, m, tuple(run), s
 
 
-def _row_cells(table, rows, policy):
-    """(c, class cells of c) for each (c, crossing row of c) pair.
+def _row_cells(table, chords, crossers, policy):
+    """(c, class cells of c) for each chord id c, read from c's crossing row.
 
     e in r(c) adds sgn(e) to the cell of its degree D = d(e), e in l(c)
     adds -sgn(e) to that of D = -d(e); the cell is the class
-    _plan(|d(c)|, policy)[D] = (n, phi(D)).
+    _plan(|d(c)|, policy)[D] = (n, phi(D)).  A backward chord (Under before
+    Over) has in r(c) the chords whose Over endpoint lies in its span, a
+    forward chord those whose Under endpoint does, as in _crossing_row.  So
+    the back columns hold, at each endpoint, (D, sign) as a backward chord
+    sees it, the fwd columns both negated, and each span is one pass over
+    one pair of columns.  The columns are filled from crossers, which must
+    hold every chord crossing one of the chords (it may hold more), each
+    with a defined degree.
     """
-    deg, sign = table.degree, table.sign
-    for c, row in rows:
+    over, under, sign, deg, _, mate = table
+    back_deg, back_sign, fwd_deg, fwd_sign = ([0] * len(mate) for _ in range(4))
+    for e in crossers:
+        o, u, D, s = over[e], under[e], deg[e], sign[e]
+        back_deg[o] = fwd_deg[u] = D
+        back_deg[u] = fwd_deg[o] = -D
+        back_sign[o] = fwd_sign[u] = s
+        back_sign[u] = fwd_sign[o] = -s
+    for c in chords:
+        o, u = over[c], under[c]
+        if o > u:
+            lo, hi, degs, signs = u, o, back_deg, back_sign
+        else:
+            lo, hi, degs, signs = o, u, fwd_deg, fwd_sign
         plan, cells = _plan(abs(deg[c]), policy), {}
-        for e, in_r in row:
-            if in_r:
-                key, s = plan[deg[e]], sign[e]
-            else:
-                key, s = plan[-deg[e]], -sign[e]
-            cells[key] = cells.get(key, 0) + s
+        for p in range(lo + 1, hi):
+            if not lo < mate[p] < hi:
+                key = plan[degs[p]]
+                cells[key] = cells.get(key, 0) + signs[p]
         yield c, sorted(filter(itemgetter(1), cells.items()))
 
 
@@ -281,11 +301,11 @@ def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
     """n -> Ind_c^n(z) for each gcd class n of the chords crossing cid, n = 0 included."""
     plan = _plan(abs(degree(d, cid)), policy)
     table = d._table
-    row = _crossing_row(table, cid)
+    row = [e for e, _ in _crossing_row(table, cid)]
     # Every class of the row; one whose cells all cancel keeps ZPoly().
     # degree(d, e) raises where a singular chord leaves d(e) undefined.
-    polys = dict.fromkeys((plan[degree(d, e)][0] for e, _ in row), ZPoly())
-    for n, _, P, _ in _index_polys(table, _row_cells(table, [(cid, row)], policy), True):
+    polys = dict.fromkeys((plan[degree(d, e)][0] for e in row), ZPoly())
+    for n, _, P, _ in _index_polys(table, _row_cells(table, [cid], row, policy), True):
         polys[n] = ZPoly(P)
     return polys
 
@@ -401,10 +421,9 @@ def compute_H(d: GaussDiagram,
     """Evaluate H over all chords and all gcd classes of the diagram."""
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
-    table = d._table
-    rows = ((c, _crossing_row(table, c)) for c in range(1, d.k + 1))
+    table, ids = d._table, range(1, d.k + 1)
     chord_cells = (_histogram_cells(table, policy) if d.k >= _KERNEL_MIN_CHORDS else
-                   _row_cells(table, rows, policy))
+                   _row_cells(table, ids, ids, policy))
     return Invariant.from_summands(policy, _index_polys(table, chord_cells, include_n0))
 
 

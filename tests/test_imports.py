@@ -1,5 +1,6 @@
 """Every imported name in the package and its tests is used, every private
-top-level name of the package is read, the unchecked ZPoly constructor is
+top-level name of the package is read, each builder that trusts its input
+(the unchecked ZPoly constructor, the diagram built with its chord table) is
 called from one place, and the brute-force oracle imports nothing but the
 standard library."""
 
@@ -80,15 +81,15 @@ def test_scan_flags_a_dead_helper():
     assert dead_private_names(sources) == [("a.py", "_B"), ("a.py", "_f"), ("b.py", "_D")]
 
 
-def unchecked_zpoly_sites(sources: dict) -> list:
-    """(module, enclosing class.function) of every `ZPoly._built` in the sources."""
+def builder_sites(sources: dict, owner: str, attr: str) -> list:
+    """(module, enclosing class.function) of every `owner.attr` in the sources."""
     sites = []
 
     def visit(node, module, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
-        if (isinstance(node, ast.Attribute) and node.attr == "_built"
-                and isinstance(node.value, ast.Name) and node.value.id == "ZPoly"):
+        if (isinstance(node, ast.Attribute) and node.attr == attr
+                and isinstance(node.value, ast.Name) and node.value.id == owner):
             sites.append((module, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
@@ -98,17 +99,39 @@ def unchecked_zpoly_sites(sources: dict) -> list:
     return sorted(sites)
 
 
+def package_sources() -> dict:
+    return {p.name: p.read_text() for p in ROOT.glob("src/knotoidh/*.py")}
+
+
 def test_unchecked_zpolys_are_built_only_by_from_summands():
     """Only from_summands may trust its terms: every other ZPoly goes through ZPoly(...)."""
-    package = {p.name: p.read_text() for p in ROOT.glob("src/knotoidh/*.py")}
-    assert unchecked_zpoly_sites(package) == [("invariant.py", "Invariant.from_summands")]
+    assert builder_sites(package_sources(), "ZPoly", "_built") == [
+        ("invariant.py", "Invariant.from_summands")]
+
+
+PATCHED_TABLE_SITES = [("gauss.py", "crossing_change")]
+
+
+def test_only_crossing_change_hands_a_diagram_its_chord_table():
+    """Every other diagram builds its table from its events on first use."""
+    assert builder_sites(package_sources(), "GaussDiagram", "_built_with_table") == \
+        PATCHED_TABLE_SITES
+
+
+def test_a_second_caller_of_the_table_builder_fails_the_audit():
+    sources = package_sources()
+    sources["singular.py"] += ("\n\ndef _planted(d):\n"
+                               "    return GaussDiagram._built_with_table(d.events, d._table)\n")
+    sites = builder_sites(sources, "GaussDiagram", "_built_with_table")
+    assert sites != PATCHED_TABLE_SITES and ("singular.py", "_planted") in sites
 
 
 def test_scan_finds_every_unchecked_zpoly_site():
     sources = {"a.py": ("class A:\n    def f(self, P):\n        return ZPoly._built(P)\n"
                         "g = ZPoly._built\nGaussDiagram._built(())\n"),
                "b.py": "def h():\n    return [ZPoly._built(())]\n"}
-    assert unchecked_zpoly_sites(sources) == [("a.py", ""), ("a.py", "A.f"), ("b.py", "h")]
+    assert builder_sites(sources, "ZPoly", "_built") == [("a.py", ""), ("a.py", "A.f"),
+                                                         ("b.py", "h")]
 
 
 def imported_modules(source: str) -> set:

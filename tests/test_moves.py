@@ -4,7 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +14,7 @@ from knotoidh.gauss import (
     GaussDiagram,
     _validate,
     crossing_change,
+    from_chord_positions,
     mirror,
     parse_gauss_code,
     random_diagram,
@@ -227,8 +228,41 @@ def test_library_builders_make_valid_diagrams(d, seed):
     for cid in ids:
         for image in resolutions(s, cid):
             assert_valid(image)
-    for assignment in product((1, -1), repeat=len(ids)):  # the terms of singular_H
+    for assignment in product((1, -1), repeat=len(ids)):  # every full resolution
         assert_valid(singular._resolve(s, dict(zip(ids, assignment))))
+
+
+def every_diagram(k):
+    """Every diagram on k chords up to relabelling: each pairing of the 2k
+    positions, each chord's direction and sign."""
+    def pairings(points):
+        if not points:
+            yield []
+        for i in range(1, len(points)):
+            for rest in pairings(points[1:i] + points[i + 1:]):
+                yield [(points[0], points[i])] + rest
+    for pairs in pairings(list(range(1, 2 * k + 1))):
+        for flips, signs in product(product((False, True), repeat=k), product((1, -1), repeat=k)):
+            yield from_chord_positions([(b, a, sign) if flip else (a, b, sign)
+                                        for (a, b), flip, sign in zip(pairs, flips, signs)])
+
+
+@pytest.mark.parametrize("kind, name, added", [("r1_insert", "cid", 1), ("r2_insert", "cids", 2)])
+def test_insert_inverses_delete_the_chords_the_insert_added(kind, name, added):
+    """At every insert site for k <= 2, with the default ids and each explicit
+    choice of them, the inverse undoes the move."""
+    runs = 0
+    for k in range(3):
+        new = range(1, k + added + 1)
+        choices = [None, *(new if added == 1 else permutations(new, 2))]
+        for d in every_diagram(k):
+            count, pick = _MOVES[kind].sites(d)
+            for i, ids in product(range(count), choices):
+                params = pick(i) if ids is None else {**pick(i), name: ids}
+                spec = MoveSpec(kind, params)
+                assert apply_move(apply_move(d, spec), inverse_spec(d, spec)) == d, (d, spec)
+                runs += 1
+    assert runs
 
 
 def brute_r2(d):

@@ -148,6 +148,32 @@ def test_singular_H_is_the_alternating_sum_over_its_resolutions(s, policy, inclu
         assert singular_H(d, policy, include_n0) == Invariant(policy, exp, const), (k, seed)
 
 
+@pytest.mark.parametrize("s", [0, 1, 2, 3, 4])
+def test_the_gray_walk_visits_each_resolution_once_with_its_sign(monkeypatch, s):
+    """Each resolution reaches compute_H once, with sign (-1)^(number negative),
+    and each step from the all-positive one switches one chord."""
+    walk = []
+
+    def recorded(d, policy, include_n0):
+        walk.append(serialize(d))
+        return Invariant(policy, {}, {len(walk): 1})  # its sign lands on y^len(walk)
+
+    monkeypatch.setattr(singular, "compute_H", recorded)
+    d = random_singular_diagram(s + 3, s, s)
+    signs = singular_H(d).const_terms
+    tokens = serialize(d).split()
+    ids = [str(cid) for cid in d.singular_ids()]
+    expected = {}
+    for choice in product((1, -1), repeat=s):
+        negative = {cid for cid, sign in zip(ids, choice) if sign < 0}
+        expected[" ".join(resolved_token(t, negative) for t in tokens)] = (-1) ** len(negative)
+    assert len(walk) == 2 ** s
+    assert dict(zip(walk, (signs[i] for i in range(1, len(walk) + 1)))) == expected
+    assert walk[0] == " ".join(resolved_token(t, set()) for t in tokens)
+    for a, b in zip(walk, walk[1:]):
+        assert len({t[1:-1] for t, u in zip(a.split(), b.split()) if t != u}) == 1
+
+
 @settings(deadline=None)
 @given(sizes, seeds, st.sampled_from(list(ReductionPolicy)))
 def test_two_singular_diagrams_vanish(k, seed, policy):
