@@ -299,7 +299,11 @@ def reverse(d: GaussDiagram) -> GaussDiagram:
 
 
 def _switched(ev: Event) -> Event:
-    """ev with Over and Under swapped and its sign negated."""
+    """ev with Over and Under swapped and its sign negated.
+
+    Read by mirror and crossing_change alone: every other switched crossing,
+    a negative skein resolution included, is made by crossing_change.
+    """
     return Event(ev.chord, "U" if ev.kind == "O" else "O", -ev.sign)
 
 

@@ -8,9 +8,9 @@ cancel, so prefix sums give every degree in O(k).  d(c) is undefined exactly
 when a singular chord crosses c.  The chords crossing c form its crossing
 row, read from the events strictly inside c's span (e crosses c when
 exactly one endpoint of e lies there); the partitions, the index
-polynomials, the deltas and the singular rule read that row.  The crossing
-chords split further by n = gcd(|d(c)|, |d(e)|), and each class
-contributes an index polynomial
+polynomials and deltas of one chord (index_polys, in one pass) and the
+singular rule read that row.  The crossing chords split further by
+n = gcd(|d(c)|, |d(e)|), and each class contributes an index polynomial
 
     Ind_c^n(z) = sum_{e in r^n} sgn(e) z^{phi(d(e))}
                - sum_{e in l^n} sgn(e) z^{phi(-d(e))}
@@ -31,16 +31,17 @@ one pass over its span (_row_cells), from position columns that hold each
 endpoint's signed degree and sign as a backward chord sees them, and both
 negated as a forward chord does; no row is built first.  From there on it
 counts each chord's crossings per (n, phi) class in one bitset sweep
-(_histogram_cells).  Either source hands each chord's class cells ((n, phi),
-count) on sorted by (n, phi), one per class and none zero, and _index_polys
-alone turns them into Ind_c^n: a run of equal n is already its sorted term
-tuple.  from_summands sums the signs per (n, m, P) before it builds
-anything, so H gets one ZPoly per distinct exponent polynomial, shared by
-every term that has it.  It builds them unchecked (ZPoly._built): each P it
-is given is already canonical, a run of sorted class cells or the terms of a
-checked ZPoly.  The class and reduced exponent of a crossing depend only on
-|d(c)|, its signed degree and the policy, so they are found once per process
-and kept, one plan per (|d(c)|, policy), for every later call (_plan).
+(_histogram_cells).  Both sources take (table, policy) and hand each
+chord's class cells ((n, phi), count) on sorted by (n, phi), one per class
+and none zero, and _index_polys, compute_H's one tail, turns them into
+Ind_c^n: a run of equal n is already its sorted term tuple.  from_summands
+sums the signs per (n, m, P) before it builds anything, so H gets one ZPoly
+per distinct exponent polynomial, shared by every term that has it.  It
+builds them unchecked (ZPoly._built): each P it is given is already
+canonical, a run of sorted class cells or the terms of a checked ZPoly.
+The class and reduced exponent of a crossing depend only on |d(c)|, its
+signed degree and the policy, so they are found once per process and kept,
+one plan per (|d(c)|, policy), for every later call (_plan).
 """
 
 from __future__ import annotations
@@ -226,10 +227,11 @@ _plan = lru_cache(maxsize=_PLAN_CACHE_SIZE)(_Plan)
 def _index_polys(table, chord_cells, include_n0):
     """H's summands (n, |d(c)|, terms of Ind_c^n, sgn(c)) from (c, class cells of c) pairs.
 
-    A class cell ((n, phi), count) adds count z^phi to Ind_c^n.  The cells
-    of c come sorted by (n, phi), one per class and none zero, so each run
-    of equal n already is Ind_c^n's sorted (exponent, coefficient) tuple.
-    Class 0 needs include_n0.
+    compute_H's one tail, after either source.  A class cell ((n, phi),
+    count) adds count z^phi to Ind_c^n.  The cells of c come sorted by
+    (n, phi), one per class and none zero, so each run of equal n already
+    is Ind_c^n's sorted (exponent, coefficient) tuple.  Class 0 needs
+    include_n0.
     """
     sign, deg = table.sign, table.degree
     for c, cells in chord_cells:
@@ -244,8 +246,8 @@ def _index_polys(table, chord_cells, include_n0):
             yield last, m, tuple(run), s
 
 
-def _row_cells(table, chords, crossers, policy):
-    """(c, class cells of c) for each chord id c, read from c's crossing row.
+def _row_cells(table, policy):
+    """(c, class cells of c) for every chord c, read from c's crossing row.
 
     e in r(c) adds sgn(e) to the cell of its degree D = d(e), e in l(c)
     adds -sgn(e) to that of D = -d(e); the cell is the class
@@ -254,19 +256,17 @@ def _row_cells(table, chords, crossers, policy):
     forward chord those whose Under endpoint does, as in _crossing_row.  So
     the back columns hold, at each endpoint, (D, sign) as a backward chord
     sees it, the fwd columns both negated, and each span is one pass over
-    one pair of columns.  The columns are filled from crossers, which must
-    hold every chord crossing one of the chords (it may hold more), each
-    with a defined degree.
+    one pair of columns.
     """
     over, under, sign, deg, _, mate = table
     back_deg, back_sign, fwd_deg, fwd_sign = ([0] * len(mate) for _ in range(4))
-    for e in crossers:
+    for e in range(1, len(sign)):
         o, u, D, s = over[e], under[e], deg[e], sign[e]
         back_deg[o] = fwd_deg[u] = D
         back_deg[u] = fwd_deg[o] = -D
         back_sign[o] = fwd_sign[u] = s
         back_sign[u] = fwd_sign[o] = -s
-    for c in chords:
+    for c in range(1, len(sign)):
         o, u = over[c], under[c]
         if o > u:
             lo, hi, degs, signs = u, o, back_deg, back_sign
@@ -298,16 +298,21 @@ def crossing_partition(d: GaussDiagram, cid: int):
 
 
 def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
-    """n -> Ind_c^n(z) for each gcd class n of the chords crossing cid, n = 0 included."""
-    plan = _plan(abs(degree(d, cid)), policy)
-    table = d._table
-    row = [e for e, _ in _crossing_row(table, cid)]
-    # Every class of the row; one whose cells all cancel keeps ZPoly().
-    # degree(d, e) raises where a singular chord leaves d(e) undefined.
-    polys = dict.fromkeys((plan[degree(d, e)][0] for e in row), ZPoly())
-    for n, _, P, _ in _index_polys(table, _row_cells(table, [cid], row, policy), True):
-        polys[n] = ZPoly(P)
-    return polys
+    """n -> Ind_c^n(z) for each gcd class n of the chords crossing cid, n = 0 included.
+
+    One pass over cid's crossing row: e in r(c) adds sgn(e) z^phi(d(e)) to
+    its class, e in l(c) adds -sgn(e) z^phi(-d(e)), both found by _plan.  A
+    class whose terms all cancel stays, as ZPoly().
+    """
+    plan, classes = _plan(abs(degree(d, cid)), policy), {}
+    _, _, sign, deg, _, _ = table = d._table
+    for e, in_r in _crossing_row(table, cid):
+        # degree(d, e) raises where a singular chord leaves d(e) undefined
+        D = deg[e] if deg[e] is not None else degree(d, e)
+        n, phi = plan[D if in_r else -D]
+        terms = classes.setdefault(n, {})
+        terms[phi] = terms.get(phi, 0) + (sign[e] if in_r else -sign[e])
+    return {n: ZPoly(terms) for n, terms in classes.items()}
 
 
 def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -> ZPoly:
@@ -421,10 +426,9 @@ def compute_H(d: GaussDiagram,
     """Evaluate H over all chords and all gcd classes of the diagram."""
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
-    table, ids = d._table, range(1, d.k + 1)
-    chord_cells = (_histogram_cells(table, policy) if d.k >= _KERNEL_MIN_CHORDS else
-                   _row_cells(table, ids, ids, policy))
-    return Invariant.from_summands(policy, _index_polys(table, chord_cells, include_n0))
+    table = d._table
+    cells = (_histogram_cells if d.k >= _KERNEL_MIN_CHORDS else _row_cells)(table, policy)
+    return Invariant.from_summands(policy, _index_polys(table, cells, include_n0))
 
 
 def _map_exponents(inv: Invariant, f) -> Invariant:

@@ -1,17 +1,20 @@
 """Skein resolutions of singular chords.
 
 A singular chord resolves two ways: positively (keep the drawn direction,
-sign +1) and negatively (the crossing change of that).  The alternating
-sum over all 2^s resolutions extends H to diagrams with s singular
-chords; H is Vassiliev of order one exactly when this vanishes for s >= 2
-while some 1-singular diagram stays nonzero.  The `order_one` row of the
-`knotoidh selftest` battery checks both halves.
+sign +1) and negatively (the crossing change of that).  One builder,
+_signed, sets a sign on chords and keeps their directions: SINGULAR for
+make_singular, +1 for the positive resolutions.  Every negative resolution
+is a crossing_change of a positive one, so no event is switched here.  The
+alternating sum over all 2^s resolutions extends H to diagrams with s
+singular chords; H is Vassiliev of order one exactly when this vanishes for
+s >= 2 while some 1-singular diagram stays nonzero.  The `order_one` row of
+the `knotoidh selftest` battery checks both halves.
 """
 
 from __future__ import annotations
 
-from .gauss import (SINGULAR, Event, GaussCodeError, GaussDiagram, _seeded, _switched,
-                    crossing_change, random_diagram)
+from .gauss import (SINGULAR, Event, GaussCodeError, GaussDiagram, _seeded, crossing_change,
+                    random_diagram)
 from .invariant import Invariant, compute_H
 from .zpoly import ReductionPolicy
 
@@ -27,35 +30,27 @@ __all__ = [
 MAX_SINGULAR = 12
 
 
+def _signed(d: GaussDiagram, ids, sign: int) -> GaussDiagram:
+    """d with every chord in ids given the sign, keeping its direction."""
+    return GaussDiagram._built(tuple(Event(ev.chord, ev.kind, sign) if ev.chord in ids else ev
+                                     for ev in d.events))
+
+
 def make_singular(d: GaussDiagram, ids) -> GaussDiagram:
     """Mark the given chords as singular, keeping their directions."""
-    ids = {d.chord(cid).id for cid in ids}
-    return GaussDiagram._built(tuple(
-        Event(ev.chord, ev.kind, SINGULAR) if ev.chord in ids else ev
-        for ev in d.events))
-
-
-def _resolve(d: GaussDiagram, choices: dict) -> GaussDiagram:
-    """Replace singular chords per choices: +1 keeps the drawn direction.
-
-    -1 is the crossing change of the +1 resolution, made in the same pass.
-    """
-    events = []
-    for ev in d.events:
-        c = choices.get(ev.chord)
-        if c is not None:
-            ev = Event(ev.chord, ev.kind, 1)
-            if c == -1:
-                ev = _switched(ev)
-        events.append(ev)
-    return GaussDiagram._built(tuple(events))
+    return _signed(d, {d.chord(cid).id for cid in ids}, SINGULAR)
 
 
 def resolutions(d: GaussDiagram, cid: int):
-    """(positive, negative) resolutions of one singular chord."""
+    """(positive, negative) resolutions of one singular chord.
+
+    The positive one keeps the drawn direction with sign +1; the negative
+    one is its crossing_change at cid.
+    """
     if d.chord(cid).sign != SINGULAR:
         raise GaussCodeError("chord %d is not singular" % cid)
-    return _resolve(d, {cid: 1}), _resolve(d, {cid: -1})
+    plus = _signed(d, {cid}, 1)
+    return plus, crossing_change(plus, cid)
 
 
 def singular_H(d: GaussDiagram,
@@ -78,7 +73,7 @@ def singular_H(d: GaussDiagram,
                              % (MAX_SINGULAR, len(ids)))
 
     def signed_resolutions():
-        r, s = _resolve(d, dict.fromkeys(ids, 1)), 1
+        r, s = _signed(d, set(ids), 1), 1
         yield s, compute_H(r, policy, include_n0)
         for step in range(1, 1 << len(ids)):
             # the chord at the index of step's lowest set bit switches

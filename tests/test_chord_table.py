@@ -197,9 +197,8 @@ def test_brute_force_on_both_sides_of_the_cost_rule(make, seed):
 
 def both_sources(d, policy):
     """c -> class cells of c from the crossing rows, and the same from the histogram kernel."""
-    table, ids = d._table, range(1, d.k + 1)
-    return [{c: list(cells) for c, cells in source} for source in (
-        invariant._row_cells(table, ids, ids, policy), invariant._histogram_cells(table, policy))]
+    return [{c: list(cells) for c, cells in source(d._table, policy)}
+            for source in (invariant._row_cells, invariant._histogram_cells)]
 
 
 def both_paths(d, policy, include_n0):
@@ -349,17 +348,28 @@ def test_criterion_10_diagram_reads_no_crossing_row(monkeypatch):
 
 
 def test_crossing_change_delta_reads_the_row_once(monkeypatch):
-    calls = []
+    """One chord's deltas and index polynomials read its crossing row once,
+    and never the whole-diagram row source."""
+    calls, sources = [], []
 
     def counted(table, cid):
         calls.append(cid)
         return row(table, cid)
 
-    row = gauss._crossing_row
+    def whole_diagram(*args):
+        sources.append(args)
+        return cells(*args)
+
+    row, cells = gauss._crossing_row, invariant._row_cells
     monkeypatch.setattr(invariant, "_crossing_row", counted)
-    d = random_diagram(400, 3)
+    monkeypatch.setattr(invariant, "_row_cells", whole_diagram)
+    d, policy = random_diagram(400, 3), ReductionPolicy.QUOTIENT
     assert not crossing_change_delta(d, 5).is_zero()
-    assert calls == [5]
+    assert calls == [5] and sources == []
+    for call in (index_polys, lambda d, cid, policy: index_function(d, cid, 1, policy)):
+        calls.clear()
+        call(d, 5, policy)
+        assert calls == [5] and sources == []
 
 
 def test_cache_is_invisible_to_equality_hash_and_repr():

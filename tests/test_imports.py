@@ -1,7 +1,8 @@
 """Every imported name in the package and its tests is used, every private
 top-level name of the package is read, each builder that trusts its input
 (the unchecked ZPoly constructor, the diagram built with its chord table) is
-called from one place, and the brute-force oracle imports nothing but the
+called from one place, events are switched only by mirror and
+crossing_change, and the brute-force oracle imports nothing but the
 standard library."""
 
 import ast
@@ -81,15 +82,25 @@ def test_scan_flags_a_dead_helper():
     assert dead_private_names(sources) == [("a.py", "_B"), ("a.py", "_f"), ("b.py", "_D")]
 
 
-def builder_sites(sources: dict, owner: str, attr: str) -> list:
-    """(module, enclosing class.function) of every `owner.attr` in the sources."""
+def reads(node, owner, attr) -> bool:
+    """node reads `owner.attr`; with owner None, it reads the top-level name
+    attr in any way: bare, as an attribute or in an import."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == attr and (owner is None or isinstance(node.value, ast.Name)
+                                      and node.value.id == owner)
+    return owner is None and (isinstance(node, ast.Name) and node.id == attr
+                              or isinstance(node, ast.alias) and node.name == attr)
+
+
+def builder_sites(sources: dict, owner, attr: str) -> list:
+    """(module, enclosing class.function) of every read of `owner.attr` in the
+    sources, or of the name attr when owner is None."""
     sites = []
 
     def visit(node, module, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = scope + (node.name,)
-        if (isinstance(node, ast.Attribute) and node.attr == attr
-                and isinstance(node.value, ast.Name) and node.value.id == owner):
+        if reads(node, owner, attr):
             sites.append((module, ".".join(scope)))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
@@ -124,6 +135,31 @@ def test_a_second_caller_of_the_table_builder_fails_the_audit():
                                "    return GaussDiagram._built_with_table(d.events, d._table)\n")
     sites = builder_sites(sources, "GaussDiagram", "_built_with_table")
     assert sites != PATCHED_TABLE_SITES and ("singular.py", "_planted") in sites
+
+
+SWITCHING_SITES = {("gauss.py", "crossing_change"), ("gauss.py", "mirror")}
+
+
+def test_only_mirror_and_crossing_change_switch_events():
+    """Every other builder that needs a switched crossing calls crossing_change."""
+    assert set(builder_sites(package_sources(), None, "_switched")) == SWITCHING_SITES
+
+
+def test_a_second_reader_of_the_event_switch_fails_the_audit():
+    sources = package_sources()
+    sources["singular.py"] += ("\n\nfrom .gauss import _switched\n\n\ndef _planted(ev):\n"
+                               "    return _switched(ev)\n")
+    sites = set(builder_sites(sources, None, "_switched"))
+    assert sites != SWITCHING_SITES and {("singular.py", ""), ("singular.py", "_planted")} <= sites
+
+
+def test_scan_finds_every_read_of_a_name():
+    sources = {"a.py": ("from .gauss import _switched as s\nimport gauss\n"
+                        "def f(ev):\n    return gauss._switched(ev)\n"),
+               "b.py": ("class B:\n    def g(self, ev):\n        return [_switched(ev)]\n"
+                        "    def _switched(self):\n        pass\n")}
+    assert builder_sites(sources, None, "_switched") == [("a.py", ""), ("a.py", "f"),
+                                                          ("b.py", "B.g")]
 
 
 def test_scan_finds_every_unchecked_zpoly_site():

@@ -4,7 +4,7 @@ import dataclasses
 import hashlib
 import json
 import random
-from itertools import permutations, product
+from itertools import compress, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -228,8 +228,12 @@ def test_library_builders_make_valid_diagrams(d, seed):
     for cid in ids:
         for image in resolutions(s, cid):
             assert_valid(image)
-    for assignment in product((1, -1), repeat=len(ids)):  # every full resolution
-        assert_valid(singular._resolve(s, dict(zip(ids, assignment))))
+    plus = singular._signed(s, set(ids), 1)
+    for negative in product((False, True), repeat=len(ids)):  # every full resolution
+        image = plus
+        for cid in compress(ids, negative):
+            image = crossing_change(image, cid)
+        assert_valid(image)
 
 
 def every_diagram(k):

@@ -130,7 +130,8 @@ def resolved_token(token, negative):
 @pytest.mark.parametrize("policy", list(ReductionPolicy))
 @pytest.mark.parametrize("s", [1, 2, 3, 4])
 def test_singular_H_is_the_alternating_sum_over_its_resolutions(s, policy, include_n0):
-    """sum over all 2^s resolutions of (-1)^(number negative) H, built without _resolve."""
+    """sum over all 2^s resolutions of (-1)^(number negative) H, built from
+    the code text, not by the library's resolutions."""
     for k, seed in product((s, s + 2, 9), range(3)):
         d = random_singular_diagram(k, s, seed)
         tokens = serialize(d).split()
