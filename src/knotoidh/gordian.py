@@ -10,18 +10,21 @@ a difference in that shape or proves it impossible, and the per-stratum
 coefficient sums bound the Gordian distance from below.
 
 _pair_sum is the one sum of a (t^P + t^{partner(P)} - 2) y^n over pairs
-(n, m, P, a): crossing_change_delta and reconstruct both call it.  In
-decompose, each stratum's dict of unpaired terms is the one ledger: a
-term leaves it when it is paired, either as the term or as its partner.
+(n, m, P, a): crossing_change_delta and reconstruct both call it.
+decompose walks the difference once, through invariant._strata, the
+order render prints it in: strata ascending in n, terms by (m, P).  Each
+stratum gets one ledger of its unpaired terms; a term leaves it when it
+is paired, either as the term or as its partner, and the stratum's
+constant is checked once its terms are paired, before the next stratum.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram
-from .invariant import Invariant, compute_H, degree, index_polys
+from .invariant import Invariant, _strata, compute_H, degree, index_polys
 from .zpoly import ReductionPolicy, reduce_poly
 
 __all__ = [
@@ -80,20 +83,15 @@ def decompose(delta: Invariant) -> GordianDecomposition:
     and -2a to its constant, which must account for the stored constant
     exactly.  Raises NotHomotopyForm otherwise.
     """
-    groups = defaultdict(dict)
-    for (n, m, P), c in delta.exp_terms.items():
-        groups[n][(m, P)] = c
     pairs = []
     bound_per_n = {}
-    for n in sorted(set(groups) | set(delta.const_terms)):
-        group = groups.get(n, {})  # the terms not yet paired
-        acc_const = 0
-        bound = 0
-        for key in sorted(group, key=lambda key: (key[0], key[1].terms)):
-            a = group.pop(key, None)
-            if a is None:  # already taken as a partner
+    for n, terms, const in _strata(delta):
+        ledger = dict(terms)  # the stratum's terms not yet paired
+        acc_const = bound = 0
+        for key, a in terms:
+            if ledger.pop(key, None) is None:  # already taken as a partner
                 continue
-            m, P = key
+            _, m, P = key
             Q = _partner(P, m, delta.policy)
             if Q == P:
                 if a % 2:
@@ -101,7 +99,7 @@ def decompose(delta: Invariant) -> GordianDecomposition:
                         "self-paired term t^(%s) y^%d has odd coefficient %d" % (P, n, a))
                 a //= 2
             else:
-                b = group.pop((m, Q), None)
+                b = ledger.pop(key._replace(P=Q), None)
                 if b is None:
                     raise NotHomotopyForm(
                         "term t^(%s) y^%d lacks its partner t^(%s)" % (P, n, Q))
@@ -111,10 +109,9 @@ def decompose(delta: Invariant) -> GordianDecomposition:
             pairs.append(DeltaPair(n, m, P, a))
             bound += abs(a)
             acc_const -= 2 * a
-        if acc_const != delta.const_terms.get(n, 0):
+        if acc_const != const:
             raise NotHomotopyForm(
-                "constant at y^%d is %d, expected %d from the pairing"
-                % (n, delta.const_terms.get(n, 0), acc_const))
+                "constant at y^%d is %d, expected %d from the pairing" % (n, const, acc_const))
         bound_per_n[n] = bound
     return GordianDecomposition(delta.policy, tuple(pairs), bound_per_n,
                                 max(bound_per_n.values(), default=0))

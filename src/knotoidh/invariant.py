@@ -454,6 +454,20 @@ def _sorted_terms(inv: Invariant) -> list:
     return sorted(inv.exp_terms.items(), key=lambda kv: (kv[0].n, kv[0].m, kv[0].P.terms))
 
 
+def _strata(inv: Invariant):
+    """H's canonical walk: (n, terms, constant) for each stratum, n ascending.
+
+    terms are the stratum's (TermKey, coefficient) pairs in _sorted_terms
+    order, by (m, P); a stratum may hold terms only (constant 0) or only its
+    constant.  render and gordian.decompose both read H in this order.
+    """
+    by_n = {}
+    for key, c in _sorted_terms(inv):
+        by_n.setdefault(key.n, []).append((key, c))
+    for n in sorted(by_n.keys() | inv.const_terms.keys()):
+        yield n, by_n.get(n, []), inv.const_terms.get(n, 0)
+
+
 def _t_power(P: ZPoly, latex: bool) -> str:
     if P.terms == ((0, 1),):  # t^1
         return "t"
@@ -471,20 +485,11 @@ def _y_power(n: int, latex: bool) -> str:
 
 
 def _render_terms(inv: Invariant, latex: bool) -> str:
-    strata = sorted(set(k.n for k in inv.exp_terms) | set(inv.const_terms))
-    terms_by_n = defaultdict(list)
-    for key, coeff in _sorted_terms(inv):
-        terms_by_n[key.n].append((coeff, _t_power(key.P, latex)))
     out = []
-    for n in strata:
-        terms = terms_by_n[n]
-        if n in inv.const_terms:
-            terms.append((inv.const_terms[n], ""))
-        body = _join_signed(terms, times="" if latex else "*")
-        if latex:
-            out.append("\\left(%s\\right)%s" % (body, _y_power(n, True)))
-        else:
-            out.append("(%s)%s" % (body, _y_power(n, False)))
+    for n, terms, const in _strata(inv):
+        parts = [(c, _t_power(key.P, latex)) for key, c in terms]
+        body = _join_signed(parts + [(const, "")] if const else parts, times="" if latex else "*")
+        out.append(("\\left(%s\\right)%s" if latex else "(%s)%s") % (body, _y_power(n, latex)))
     return " + ".join(out) or "0"
 
 
@@ -561,7 +566,8 @@ _FORMATS = {"text": partial(_render_terms, latex=False), "json": invariant_to_js
 
 
 def render(inv: Invariant, fmt: str = "text") -> str:
-    """Render to `text`, `json` or `latex`; strata ascend in n, terms in (m, P)."""
+    """Render to `text`, `json` or `latex` in the order of _strata: strata ascend
+    in n, terms in (m, P); json lists the terms in that order, then the constants."""
     try:
         to_text = _FORMATS[fmt]
     except (KeyError, TypeError):  # TypeError: an unhashable fmt

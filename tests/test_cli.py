@@ -11,7 +11,7 @@ from knotoidh import cli
 from knotoidh.cli import main, run_selftest
 from knotoidh.gauss import (crossing_change, mirror, parse_gauss_code,
                             random_diagram, serialize)
-from knotoidh.gordian import decompose
+from knotoidh.gordian import NotHomotopyForm, decompose
 from knotoidh.invariant import _FORMATS, Invariant, compute_H
 from knotoidh.moves import apply_move, parse_trace, random_walk
 from knotoidh.singular import resolutions
@@ -269,6 +269,26 @@ def test_planted_fault_fails_its_row(monkeypatch, name, binding, fault):
     assert (name, "quotient") in failing
     assert {n for n, _ in failing} == {name}
     assert report["ok"] is False
+
+
+def test_gordian_bound_row_fails_and_replays_when_decompose_raises(monkeypatch):
+    def no_pairing(delta):
+        raise NotHomotopyForm("planted")
+    monkeypatch.setattr(cli, "decompose", no_pairing)
+    report = run_selftest(3, 6, 0)
+    rows = {(p["name"], p["policy"]): p for p in report["properties"]}
+    row = rows["gordian_bound", "quotient"]
+    assert row["failures"] == 3 and row["fatal"] is True and report["ok"] is False
+    for example in row["examples"]:
+        head, seed_line, trace = example.split("\n", 2)
+        code, ids = head.rsplit(" @", 1)
+        changed = parse_gauss_code(code)
+        for cid in filter(None, ids.split(",")):
+            changed = crossing_change(changed, int(cid))
+        walked = changed
+        for spec in parse_trace(trace):
+            walked = apply_move(walked, spec)
+        assert walked == random_walk(changed, 4, int(seed_line.removeprefix("seed ")))
 
 
 @pytest.mark.parametrize("value", ["0", "-5"])

@@ -36,7 +36,8 @@ def interleaved(sa, sb):
 
 def test_parse_and_serialize_round_trip():
     code = "O1+ U2+ U3- O4- O5+ U4- O2+ U1+ O3- U5+"
-    assert serialize(parse_gauss_code(code)) == code
+    d = parse_gauss_code(code)
+    assert serialize(d) == code and str(d) == code
 
 
 def test_under_tokens_may_omit_the_sign():

@@ -138,6 +138,23 @@ def test_wrong_constant_is_rejected():
         decompose(bad)
 
 
+def test_strata_fail_in_ascending_order():
+    # each stratum is paired, then its constant checked, before the next one
+    t, t_inv = ZPoly.const(1), ZPoly.const(-1)
+    bad_const_then_unpaired = Invariant(QUOT, {
+        TermKey(1, 0, t): 1, TermKey(1, 0, t_inv): 1, TermKey(2, 0, t): 1,
+    }, {1: -1, 2: -1})
+    with pytest.raises(NotHomotopyForm) as exc:
+        decompose(bad_const_then_unpaired)
+    assert str(exc.value) == "constant at y^1 is -1, expected -2 from the pairing"
+    unequal_then_bad_const = Invariant(QUOT, {
+        TermKey(1, 0, t): 2, TermKey(1, 0, t_inv): 1,
+    }, {1: -3, 2: 5})
+    with pytest.raises(NotHomotopyForm) as exc:
+        decompose(unequal_then_bad_const)
+    assert str(exc.value) == "partner coefficients differ at y^1: 1 vs 2"
+
+
 def test_zero_delta_has_zero_bound():
     dec = decompose(Invariant(QUOT))
     assert dec.bound == 0 and dec.bound_per_n == {} and dec.pairs == ()

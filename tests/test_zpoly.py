@@ -101,6 +101,12 @@ def test_arithmetic_with_a_non_zpoly_raises_type_error():
             combine()
 
 
+def test_a_zpoly_never_equals_a_non_zpoly():
+    # __eq__ hands the comparison back, and neither side claims it
+    assert ZPoly.const(1) != 1 and not ZPoly.const(1) == 1
+    assert ZPoly.monomial(1, 1) != ((1, 1),)  # not even its own terms
+
+
 def test_constructors():
     assert ZPoly.const(0).terms == ()
     assert ZPoly.const(-3).terms == ((0, -3),)
@@ -145,6 +151,7 @@ def test_str_rendering():
     assert str(ZPoly.monomial(-1, -1)) == "-z^-1"
     assert str(ZPoly([(-1, -1), (0, 2)])) == "-z^-1 + 2"
     assert str(ZPoly([(1, 2), (2, -3)])) == "2*z - 3*z^2"
+    assert repr(ZPoly([(-1, -1), (0, 2)])) == "ZPoly(((-1, -1), (0, 2)))"
 
 
 def test_latex_rendering():
