@@ -287,10 +287,7 @@ def _reject(found) -> None:
 
 def serialize(d: GaussDiagram) -> str:
     """Canonical code: every token carries its tag, on U tokens too."""
-    if not d.events:
-        return ""
-    chords, kinds, signs = zip(*d.events)
-    return " ".join(map("%s%d%s".__mod__, zip(kinds, chords, map(_TAG_OF.__getitem__, signs))))
+    return " ".join(["%s%d%s" % (kind, chord, _TAG_OF[sign]) for chord, kind, sign in d.events])
 
 
 def reverse(d: GaussDiagram) -> GaussDiagram:

@@ -35,9 +35,8 @@ counts each chord's crossings per (n, phi) class in one bitset sweep
 chord's class cells ((n, phi), count) on sorted by (n, phi), one per class
 and none zero, and _index_polys, compute_H's one tail, turns them into
 Ind_c^n: a run of equal n is already its sorted term tuple.  from_summands
-sums the signs per (n, m, P) before it builds anything, so H gets one ZPoly
-per distinct exponent polynomial, shared by every term that has it.  It
-builds them unchecked (ZPoly._built): each P it is given is already
+sums the signs per (n, m, P) before it builds anything, then builds one ZPoly
+per stored term, unchecked (ZPoly._built): each P it is given is already
 canonical, a run of sorted class cells or the terms of a checked ZPoly.
 The class and reduced exponent of a crossing depend only on |d(c)|, its
 signed degree and the policy, so they are found once per process and kept,
@@ -115,24 +114,20 @@ class Invariant:
 
         P is given by its terms, exactly as in ZPoly.terms: int (exponent,
         coefficient) pairs sorted by exponent, distinct exponents, no zero
-        coefficient; this is not checked.  The signs are
-        summed per (n, m, P) first, so each distinct P becomes one ZPoly and
-        each nonzero stored term one TermKey.  A zero P adds nothing, since
-        t^0 - 1 = 0.
+        coefficient; this is not checked.  The signs are summed per (n, m, P)
+        first, so each nonzero stored term is one TermKey with its own ZPoly.
+        A zero P adds nothing, since t^0 - 1 = 0.
         """
         sums = {}
         for n, m, P, s in items:
             if P:
                 key = n, m if len(P) > 1 or P[0][0] else 0, P  # m is 0 for a constant P
                 sums[key] = sums.get(key, 0) + s
-        polys, exp, const = {}, {}, {}
+        exp, const = {}, {}
         for (n, m, P), s in sums.items():
             const[n] = const.get(n, 0) - s
             if s:
-                poly = polys.get(P)
-                if poly is None:
-                    poly = polys[P] = ZPoly._built(P)
-                exp[TermKey(n, m, poly)] = s
+                exp[TermKey(n, m, ZPoly._built(P))] = s
         return cls(policy, exp, const)
 
     @classmethod
@@ -424,6 +419,8 @@ def compute_H(d: GaussDiagram,
               policy: ReductionPolicy = ReductionPolicy.QUOTIENT,
               include_n0: bool = False) -> Invariant:
     """Evaluate H over all chords and all gcd classes of the diagram."""
+    if type(include_n0) is not bool:
+        raise TypeError("include_n0 must be a bool, not %s" % type(include_n0).__name__)
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
     table = d._table
@@ -516,14 +513,21 @@ def _json_int(obj, field, minimum=None) -> int:
 
 
 def invariant_from_json(text: str) -> Invariant:
-    """Read invariant_to_json output; a term not in canonical form raises ValueError."""
-    data = json.loads(text)
+    """Read invariant_to_json output; a term not in canonical form raises ValueError.
+
+    Canonical form includes the order invariant_to_json writes: terms
+    ascending in (n, m, P), constants ascending in n.
+    """
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to read as an invariant") from None
     if not (isinstance(data, dict) and data.keys() == {"policy", "terms", "consts"}
             and isinstance(data["policy"], str) and isinstance(data["terms"], list)
             and isinstance(data["consts"], list)):
         raise ValueError('expected {"policy": ..., "terms": [...], "consts": [...]}')
     policy = ReductionPolicy(data["policy"])
-    exp = {}
+    exp, last = {}, ()
     for t in data["terms"]:
         n, m, coeff = _json_int(t, "n", 0), _json_int(t, "m", 0), _json_int(t, "coeff")
         pairs = t.get("P")
@@ -548,15 +552,19 @@ def invariant_from_json(text: str) -> Invariant:
             raise ValueError("duplicate or zero-coefficient term %r" % (t,))
         if t.keys() != {"n", "m", "P", "coeff"}:
             raise ValueError("term %r has a key other than n, m, P and coeff" % (t,))
-        exp[key] = coeff
-    const = {}
+        if (n, m, P.terms) < last:
+            raise ValueError("term %r is out of order: terms ascend in (n, m, P)" % (t,))
+        exp[key], last = coeff, (n, m, P.terms)
+    const, last = {}, -1
     for t in data["consts"]:
         n, coeff = _json_int(t, "n", 0), _json_int(t, "coeff")
         if n in const or not coeff:
             raise ValueError("duplicate or zero-coefficient constant %r" % (t,))
         if t.keys() != {"n", "coeff"}:
             raise ValueError("constant %r has a key other than n and coeff" % (t,))
-        const[n] = coeff
+        if n < last:
+            raise ValueError("constant %r is out of order: constants ascend in n" % (t,))
+        const[n], last = coeff, n
     return Invariant(policy, exp, const)
 
 

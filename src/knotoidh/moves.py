@@ -476,6 +476,8 @@ def parse_trace(text: str) -> list:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise MoveError("line %d: %s" % (lineno, exc)) from None
+        except RecursionError:
+            raise MoveError("line %d: JSON nested too deeply to read as a move" % lineno) from None
         if not (isinstance(obj, dict) and "move" in obj
                 and isinstance(obj.get("params"), dict)):
             raise MoveError('line %d: expected {"move": kind, "params": {...}}' % lineno)

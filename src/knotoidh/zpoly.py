@@ -73,12 +73,10 @@ class ZPoly:
         items = terms.items() if isinstance(terms, dict) else tuple(terms)
         if not {int}.issuperset(map(type, chain.from_iterable(items))):
             raise TypeError("ZPoly needs int exponents and coefficients, not %r" % (list(items),))
-        if not isinstance(terms, dict):
-            merged = defaultdict(int)
-            for e, c in items:
-                merged[e] += c
-            items = merged.items()
-        self.terms = tuple(sorted(filter(itemgetter(1), items)))
+        merged = defaultdict(int)
+        for e, c in items:
+            merged[e] += c
+        self.terms = tuple(sorted(filter(itemgetter(1), merged.items())))
         self._hash = hash(self.terms)
 
     @classmethod

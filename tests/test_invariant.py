@@ -193,6 +193,15 @@ def test_nested_diagrams_have_zero_invariant(k, seed):
         assert h.is_zero() and not nonzero_height_certificate(h)
 
 
+@pytest.mark.parametrize("include_n0", ["no", 1, None])
+@pytest.mark.parametrize("evaluate", [compute_H, singular_H])
+def test_include_n0_must_be_a_bool(evaluate, include_n0):
+    d = FIXTURES["singular_witness"] if evaluate is singular_H else FIXTURES["5.1.28"]
+    with pytest.raises(TypeError) as info:
+        evaluate(d, QUOT, include_n0)
+    assert str(info.value) == "include_n0 must be a bool, not %s" % type(include_n0).__name__
+
+
 def test_include_n0_stratum():
     d = parse_gauss_code("O3+ U2- U1+ O2- O4+ O1+ U3+ U4+")
     assert {c: degree(d, c) for c in d.chords()} == {1: 0, 2: -1, 3: -1, 4: 0}
@@ -280,17 +289,17 @@ def test_from_summands_stores_m_only_for_nonconstant_exponents():
     assert h.const_terms == {1: -1}
 
 
-def test_compute_H_builds_one_ZPoly_per_distinct_exponent_polynomial(monkeypatch):
-    built = []  # every ZPoly made, checked or not
-    init, unchecked = ZPoly.__init__, ZPoly._built.__func__
+def test_compute_H_builds_one_unchecked_ZPoly_per_stored_term(monkeypatch):
+    checked, unchecked = [], []  # every ZPoly made, by ZPoly(...) and by ZPoly._built
+    init, built = ZPoly.__init__, ZPoly._built.__func__
 
     def counted(self, terms=()):
-        built.append(self)
+        checked.append(self)
         init(self, terms)
 
     def counted_unchecked(cls, terms):
-        built.append(unchecked(cls, terms))
-        return built[-1]
+        unchecked.append(built(cls, terms))
+        return unchecked[-1]
 
     monkeypatch.setattr(ZPoly, "__init__", counted)
     monkeypatch.setattr(ZPoly, "_built", classmethod(counted_unchecked))
@@ -298,12 +307,14 @@ def test_compute_H_builds_one_ZPoly_per_distinct_exponent_polynomial(monkeypatch
     assert rows.k < _KERNEL_MIN_CHORDS <= kernel.k
     for d in (rows, kernel):
         for policy in ReductionPolicy:
-            built.clear()
+            checked.clear()
+            unchecked.clear()
             h = compute_H(d, policy, include_n0=True)
-            shared = {}  # terms of P -> the one ZPoly every key with that P holds
-            for key in h.exp_terms:
-                assert shared.setdefault(key.P.terms, key.P) is key.P
-            assert len(built) == len(shared) < len(h.exp_terms)
+            assert not checked
+            assert len(unchecked) == len(h.exp_terms)
+            assert set(map(id, unchecked)) == {id(key.P) for key in h.exp_terms}
+            # the P of several stored terms is equal, yet each term holds its own ZPoly
+            assert len({key.P for key in h.exp_terms}) < len(h.exp_terms)
 
 
 def assert_canonical_polys(h):
@@ -369,6 +380,8 @@ def test_json_keeps_modulus_zero_on_a_degree_zero_chord():
      "duplicate or zero-coefficient constant"),
     ({"extra": 0}, "has a key other than n, m, P and coeff"),
     ({"consts": [{"n": 1, "coeff": -1, "extra": 0}]}, "has a key other than n and coeff"),
+    ({"consts": [{"n": 1, "coeff": 2}, {"n": 3, "coeff": -1}, {"n": 2, "coeff": 1}]},
+     "constant {'n': 2, 'coeff': 1} is out of order: constants ascend in n"),
 ])
 def test_json_rejects_noncanonical_input(overrides, message):
     term = {"n": 1, "m": 2, "P": [[1, 1]], "coeff": 1}
@@ -378,6 +391,28 @@ def test_json_rejects_noncanonical_input(overrides, message):
     with pytest.raises(ValueError, match=re.escape(message)) as info:
         invariant_from_json(json.dumps(data))
     assert "\n" not in str(info.value)
+
+
+def test_json_rejects_terms_out_of_render_order():
+    data = json.loads(invariant_to_json(compute_H(FIXTURES["5.1.28"])))  # the README's H
+    assert len(data["terms"]) == 6
+    data["terms"].reverse()
+    with pytest.raises(ValueError) as info:
+        invariant_from_json(json.dumps(data))
+    assert str(info.value) == ("term %r is out of order: terms ascend in (n, m, P)"
+                               % (data["terms"][1],))
+    data["terms"].reverse()
+    data["terms"][2:4] = data["terms"][3:1:-1]  # equal n and m, P swapped
+    with pytest.raises(ValueError, match="^term .* is out of order"):
+        invariant_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("text", ["[" * 100000, '{"a": ' * 100000],
+                         ids=["arrays", "objects"])
+def test_json_nested_too_deeply_is_one_value_error(text):
+    with pytest.raises(ValueError) as info:
+        invariant_from_json(text)
+    assert str(info.value) == "JSON nested too deeply to read as an invariant"
 
 
 @pytest.mark.parametrize("text", [

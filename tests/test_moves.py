@@ -453,6 +453,15 @@ def test_parse_trace_rejects_malformed_lines_with_line_number():
         parse_trace(good + '\n{"move": "r1_delete", "params": {"cid": "1"}}')
 
 
+@pytest.mark.parametrize("bad", ["[" * 100000, '{"move": ' * 100000],
+                         ids=["arrays", "objects"])
+def test_parse_trace_rejects_json_nested_too_deeply(bad):
+    good = '{"move": "r1_delete", "params": {"cid": 1}}'
+    with pytest.raises(MoveError) as info:
+        parse_trace(good + "\n" + bad)
+    assert str(info.value) == "line 2: JSON nested too deeply to read as a move"
+
+
 def test_parse_trace_rejects_keys_other_than_move_and_params():
     good = '{"move": "r1_delete", "params": {"cid": 1}}'
     for extra, key in (('"extra": [1]', "extra"), ('"Move": "r3", "z": 0', "Move")):
