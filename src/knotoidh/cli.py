@@ -16,7 +16,7 @@ Each choice and bound is declared once and read by the parser: `--mode`
 from `ReductionPolicy`, `--format` from `render`'s format table, `--check`
 from `_SYMMETRIES` (the kinds `symmetry_image` accepts) plus `none`, and
 the `selftest` flags' least values from `_LEAST`, which `run_selftest`
-checks too.
+checks too, once its counts have passed `_seeded`'s int gate.
 """
 
 from __future__ import annotations
@@ -187,12 +187,10 @@ PROPERTIES = (
 
 def run_selftest(samples: int = 100, max_chords: int = 6, seed: int = 0) -> dict:
     """Seeded property battery; `ok` ignores non-fatal Literal walk failures."""
+    rng = _seeded(seed, samples=samples, max_chords=max_chords)
     for name, value in (("samples", samples), ("max_chords", max_chords)):
-        if type(value) is not int:
-            raise ValueError("%s must be an int, not %s" % (name, type(value).__name__))
         if value < _LEAST[name]:
             raise ValueError("%s must be at least %d" % (name, _LEAST[name]))
-    rng = _seeded(seed)
     props = []
     for name, check, fatal_under_literal in PROPERTIES:
         for policy in ReductionPolicy:

@@ -24,6 +24,10 @@ check again; the tests check their output instead.  Every diagram builds
 its chord table (`_table`) from its events on first use, except one from
 `crossing_change`: that hands its result d's table with the switched chord
 patched in, through `GaussDiagram._built_with_table`, its one caller.
+
+Three gates hold the package's argument rules, each written once and
+raising the error its caller names: `_text` (a reader got a str), `_tuple`
+(an iterable) and `_seeded` (a seed and int counts).
 """
 
 from __future__ import annotations
@@ -83,19 +87,19 @@ _TAGS = {"+": 1, "-": -1, "*": SINGULAR}
 _TAG_OF = {sign: tag for tag, sign in _TAGS.items()}
 
 
-def _tuple(items, what: str) -> tuple:
-    """tuple(items), or a one-line GaussCodeError naming `what` if items is not iterable."""
+def _tuple(items, what: str, error=GaussCodeError) -> tuple:
+    """tuple(items), or a one-line `error` naming `what` if items is not iterable."""
     try:
         items = iter(items)
     except TypeError:
-        raise GaussCodeError("%s must be iterable, not %r" % (what, items)) from None
+        raise error("%s must be iterable, not %r" % (what, items)) from None
     return tuple(items)
 
 
-def _text(text, what: str) -> str:
-    """text, or a one-line GaussCodeError naming its type if it is not a str."""
+def _text(text, what: str, error=GaussCodeError) -> str:
+    """text, or a one-line `error` naming its type if it is not a str."""
     if not isinstance(text, str):
-        raise GaussCodeError("%s must be a str, not %s" % (what, type(text).__name__))
+        raise error("%s must be a str, not %s" % (what, type(text).__name__))
     return text
 
 

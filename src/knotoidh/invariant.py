@@ -54,7 +54,7 @@ from functools import lru_cache, partial
 from itertools import compress
 from operator import eq, itemgetter, neg, sub
 
-from .gauss import SINGULAR, GaussCodeError, GaussDiagram, _crossing_row
+from .gauss import SINGULAR, GaussCodeError, GaussDiagram, _crossing_row, _text
 from .zpoly import (ReductionPolicy, ZPoly, _join_signed, _require_policy, reduce_exponent,
                     reduce_poly)
 
@@ -513,13 +513,13 @@ def _json_int(obj, field, minimum=None) -> int:
 
 
 def invariant_from_json(text: str) -> Invariant:
-    """Read invariant_to_json output; a term not in canonical form raises ValueError.
+    """Read invariant_to_json output, a str; a term not in canonical form raises ValueError.
 
     Canonical form includes the order invariant_to_json writes: terms
     ascending in (n, m, P), constants ascending in n.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(_text(text, "a JSON invariant", ValueError))
     except RecursionError:
         raise ValueError("JSON nested too deeply to read as an invariant") from None
     if not (isinstance(data, dict) and data.keys() == {"policy", "terms", "consts"}

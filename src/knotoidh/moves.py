@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
 
-from .gauss import Event, GaussDiagram, _seeded
+from .gauss import Event, GaussDiagram, _seeded, _text, _tuple
 
 __all__ = [
     "MoveError",
@@ -430,16 +430,17 @@ def random_walk(d: GaussDiagram, steps: int, seed: int,
                 allowed=None, trace: list = None) -> GaussDiagram:
     """Apply `steps` uniformly chosen applicable moves, deterministically.
 
-    `allowed` restricts the move kinds; kinds with no applicable instance
-    contribute nothing to the draw.  Applied MoveSpecs are appended to
-    `trace` when given.
+    `allowed` restricts the move kinds: an iterable, not a string, of
+    MOVE_KINDS entries, else MoveError before any draw.  Kinds with no
+    applicable instance contribute nothing to the draw.  Applied MoveSpecs
+    are appended to `trace` when given.
     """
     if isinstance(allowed, (str, bytes, bytearray)):
         raise MoveError("allowed must be a collection of move kinds, not the string %r"
                         % allowed)
-    allowed = set(MOVE_KINDS if allowed is None else allowed)
-    if not allowed <= set(MOVE_KINDS):
-        raise MoveError("unknown move kinds %s" % sorted(allowed - set(MOVE_KINDS)))
+    allowed = MOVE_KINDS if allowed is None else _tuple(allowed, "allowed", MoveError)
+    if unknown := [kind for kind in allowed if kind not in MOVE_KINDS]:
+        raise MoveError("unknown move kinds %s" % unknown)
     kinds = [kind for kind in MOVE_KINDS if kind in allowed]
     rng = _seeded(seed, MoveError, steps=steps)
     for _ in range(steps):
@@ -465,10 +466,8 @@ def format_trace(specs) -> str:
 
 
 def parse_trace(text: str) -> list:
-    if not isinstance(text, str):
-        raise MoveError("a move trace must be a str, not %s" % type(text).__name__)
     out = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_text(text, "a move trace", MoveError).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

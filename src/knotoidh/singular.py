@@ -13,8 +13,8 @@ the `knotoidh selftest` battery checks both halves.
 
 from __future__ import annotations
 
-from .gauss import (SINGULAR, Event, GaussCodeError, GaussDiagram, _seeded, crossing_change,
-                    random_diagram)
+from .gauss import (SINGULAR, Event, GaussCodeError, GaussDiagram, _seeded, _tuple,
+                    crossing_change, random_diagram)
 from .invariant import Invariant, compute_H
 from .zpoly import ReductionPolicy
 
@@ -37,8 +37,8 @@ def _signed(d: GaussDiagram, ids, sign: int) -> GaussDiagram:
 
 
 def make_singular(d: GaussDiagram, ids) -> GaussDiagram:
-    """Mark the given chords as singular, keeping their directions."""
-    return _signed(d, {d.chord(cid).id for cid in ids}, SINGULAR)
+    """Mark the chords of the iterable ids as singular, keeping their directions."""
+    return _signed(d, {d.chord(cid).id for cid in _tuple(ids, "ids")}, SINGULAR)
 
 
 def resolutions(d: GaussDiagram, cid: int):

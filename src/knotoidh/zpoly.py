@@ -69,10 +69,19 @@ class ZPoly:
     __slots__ = ("terms", "_hash")
 
     def __init__(self, terms=()):
-        """From a dict exponent -> coefficient, or from (exponent, coefficient) pairs, summed."""
-        items = terms.items() if isinstance(terms, dict) else tuple(terms)
-        if not {int}.issuperset(map(type, chain.from_iterable(items))):
-            raise TypeError("ZPoly needs int exponents and coefficients, not %r" % (list(items),))
+        """From a dict exponent -> coefficient, or from (exponent, coefficient) pairs, summed.
+
+        Anything else, a non-int value or an item that is not a pair included,
+        raises one TypeError naming terms.
+        """
+        try:
+            items = terms.items() if isinstance(terms, dict) else tuple(terms)
+            pairs = ({2}.issuperset(map(len, items))
+                     and {int}.issuperset(map(type, chain.from_iterable(items))))
+        except TypeError:  # terms, or one of its items, is not a sized iterable
+            pairs = False
+        if not pairs:
+            raise TypeError("ZPoly needs int exponents and coefficients, not %r" % (terms,))
         merged = defaultdict(int)
         for e, c in items:
             merged[e] += c
@@ -113,13 +122,10 @@ class ZPoly:
     def __sub__(self, other: "ZPoly") -> "ZPoly":
         if not isinstance(other, ZPoly):
             return NotImplemented
-        return ZPoly(self.terms + tuple((e, -c) for e, c in other.terms))
+        return self + -other
 
     def __neg__(self) -> "ZPoly":
-        return self.scale(-1)
-
-    def scale(self, k: int) -> "ZPoly":
-        return ZPoly(tuple((e, k * c) for e, c in self.terms))
+        return ZPoly(tuple((e, -c) for e, c in self.terms))
 
     def subst_z_inverse(self) -> "ZPoly":
         """Substitute z -> z^-1, i.e. negate every exponent."""

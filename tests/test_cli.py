@@ -328,6 +328,17 @@ def test_run_selftest_rejects_max_chords_below_two():
         run_selftest(2, 1, 0)
 
 
+@pytest.mark.parametrize("samples, max_chords, message", [
+    (-1, 2, "samples must be non-negative"),
+    (2, -3, "max_chords must be non-negative"),
+])
+def test_run_selftest_counts_pass_the_seeded_gate(samples, max_chords, message):
+    """A negative count fails _seeded's check before the least-value check reads it."""
+    with pytest.raises(ValueError) as exc:
+        run_selftest(samples, max_chords, 0)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("seed, message", [
     (None, "seed must be an int, not NoneType"),
     (True, "seed must be an int, not bool"),

@@ -19,10 +19,14 @@ from knotoidh.gauss import (
     reverse,
     serialize,
 )
+from knotoidh.invariant import compute_H, invariant_from_json, render
 from knotoidh.moves import MoveError, parse_trace
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sizes = st.integers(min_value=1, max_value=8)
+
+# A JSON render that invariant_from_json reads back, as a str: H of the trivial diagram.
+JSON_H = render(compute_H(parse_gauss_code("")), "json")
 
 
 def spans(d):
@@ -224,6 +228,11 @@ def test_reverse_and_mirror_are_involutive(k, seed):
     (parse_gko, b"a: O1+ U1+", GaussCodeError, "a .gko collection must be a str, not bytes"),
     (parse_trace, None, MoveError, "a move trace must be a str, not NoneType"),
     (parse_trace, ["{}"], MoveError, "a move trace must be a str, not list"),
+    (invariant_from_json, JSON_H.encode(), ValueError, "a JSON invariant must be a str, not bytes"),
+    (invariant_from_json, bytearray(JSON_H, "utf-16"), ValueError,
+     "a JSON invariant must be a str, not bytearray"),
+    (invariant_from_json, None, ValueError, "a JSON invariant must be a str, not NoneType"),
+    (invariant_from_json, 5, ValueError, "a JSON invariant must be a str, not int"),
 ])
 def test_a_text_reader_rejects_input_that_is_not_a_str(read, text, error, message):
     with pytest.raises(error) as exc:

@@ -376,6 +376,20 @@ def test_walk_rejects_a_string_for_allowed():
     assert random_walk(d, 1, 0, allowed=["r3"]) == random_walk(d, 1, 0, allowed={"r3"})
 
 
+@pytest.mark.parametrize("allowed, message", [
+    (5, "allowed must be iterable, not 5"),
+    ([["r3"]], "unknown move kinds [['r3']]"),
+    ([None, "x"], "unknown move kinds [None, 'x']"),
+    (("r9", "r1_insert", "a"), "unknown move kinds ['r9', 'a']"),
+])
+def test_walk_rejects_allowed_that_is_not_an_iterable_of_kinds(monkeypatch, allowed, message):
+    """Unknown kinds are listed in the order given, and no generator is ever seeded."""
+    monkeypatch.setattr(moves, "_seeded", None)
+    with pytest.raises(MoveError) as exc:
+        random_walk(random_diagram(3, 0), 1, 0, allowed=allowed)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("steps, seed, message", [
     (2, None, "seed must be an int, not NoneType"),
     (2, 1.0, "seed must be an int, not float"),

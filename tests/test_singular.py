@@ -42,6 +42,13 @@ def test_make_singular():
         make_singular(d, (5,))
 
 
+@pytest.mark.parametrize("ids", [3, None])
+def test_make_singular_takes_an_iterable_of_ids(ids):
+    with pytest.raises(GaussCodeError) as exc:
+        make_singular(random_diagram(4, 1), ids)
+    assert str(exc.value) == "ids must be iterable, not %r" % (ids,)
+
+
 def test_resolutions_of_a_singular_chord():
     d = parse_gauss_code("O1+ U2* O2* U1+")
     plus, minus = resolutions(d, 2)
