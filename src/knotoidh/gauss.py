@@ -15,8 +15,12 @@ code must be exactly 1..k.  The empty code is the trivial diagram.  A
 code is read in one regular-expression scan; a rejected code raises
 GaussCodeError naming its first bad token in text order.
 
-The entries that take events from outside check them: `GaussDiagram(...)`,
-`parse_gauss_code`, `from_chord_positions` and `parse_gko`/`load_gko`.
+The entries that take events from outside check them once.
+`GaussDiagram(...)` and `from_chord_positions` run `_validate`, the
+event-by-event check.  `parse_gauss_code` (and so `parse_gko`/`load_gko`)
+checks a code on its token columns and builds through `_built`; it calls
+`GaussDiagram(...)` only so that `_validate` words the message for a code
+that fails a structure check (a repeated or missing token, ids not 1..k).
 The library's own builders (the moves, `reverse`, `mirror`,
 `crossing_change` and the singular markings and resolutions) make valid
 events by construction and go through `GaussDiagram._built`, which does not
@@ -255,12 +259,14 @@ def from_chord_positions(chords) -> GaussDiagram:
 def parse_gauss_code(text: str) -> GaussDiagram:
     """Parse a Gauss code string; see the module grammar.
 
-    The checks run over whole columns of tokens; only a code that fails one
-    is walked token by token (_reject).
+    The code is checked once, over whole columns of tokens, and a code that
+    passes is built unchecked (_built).  A code that fails a token or tag
+    check is walked token by token (_reject); one that fails a structure
+    check goes through GaussDiagram(...), whose _validate raises.
     """
     found = _TOKEN.findall(_text(text, "a Gauss code"))
     if not found:
-        return GaussDiagram(())
+        return GaussDiagram._built(())
     kinds, ids, tags, junk = zip(*found)
     signs = dict(compress(zip(ids, tags), tags))  # id -> the last tag on any of its tokens
     if (any(junk) or "0" in ids or ("O", "") in zip(kinds, tags)
@@ -268,8 +274,16 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             or "" in tags and len(signs) != len(set(ids))):
         _reject(found)
     sign_of = dict(zip(signs, map(_TAGS.__getitem__, signs.values())))
-    return GaussDiagram(tuple(map(tuple.__new__, repeat(Event),
-                                  zip(map(int, ids), kinds, map(sign_of.__getitem__, ids)))))
+    events = tuple(map(tuple.__new__, repeat(Event),
+                       zip(map(int, ids), kinds, map(sign_of.__getitem__, ids))))
+    # The columns have settled each token's form and each chord's one sign.
+    # Left for _validate's rules: no (id, kind) token twice and both tokens
+    # of every chord; and ids 1..k, which k distinct positive ints (signs'
+    # keys are canonical decimals) are exactly when the largest is k.
+    if (len(set(zip(ids, kinds))) == len(found) == 2 * len(signs)
+            and max(map(int, signs)) == len(signs)):
+        return GaussDiagram._built(events)
+    return GaussDiagram(events)  # _validate raises, and words the message
 
 
 def _reject(found) -> None:
@@ -291,7 +305,7 @@ def _reject(found) -> None:
 
 def serialize(d: GaussDiagram) -> str:
     """Canonical code: every token carries its tag, on U tokens too."""
-    return " ".join(["%s%d%s" % (kind, chord, _TAG_OF[sign]) for chord, kind, sign in d.events])
+    return " ".join([kind + str(chord) + _TAG_OF[sign] for chord, kind, sign in d.events])
 
 
 def reverse(d: GaussDiagram) -> GaussDiagram:

@@ -71,14 +71,15 @@ class ZPoly:
     def __init__(self, terms=()):
         """From a dict exponent -> coefficient, or from (exponent, coefficient) pairs, summed.
 
-        Anything else, a non-int value or an item that is not a pair included,
-        raises one TypeError naming terms.
+        Anything else, a non-int value or an item that is not a tuple or list
+        of two included, raises one TypeError naming terms.
         """
         try:
             items = terms.items() if isinstance(terms, dict) else tuple(terms)
-            pairs = ({2}.issuperset(map(len, items))
+            pairs = ({tuple, list}.issuperset(map(type, items))
+                     and {2}.issuperset(map(len, items))
                      and {int}.issuperset(map(type, chain.from_iterable(items))))
-        except TypeError:  # terms, or one of its items, is not a sized iterable
+        except TypeError:  # terms is not iterable
             pairs = False
         if not pairs:
             raise TypeError("ZPoly needs int exponents and coefficients, not %r" % (terms,))

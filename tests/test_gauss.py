@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from knotoidh import gauss
 from knotoidh.gauss import (
     Event,
     GaussCodeError,
@@ -73,10 +74,77 @@ def test_singular_chords_parse_with_star():
     ("U1 U1+", "^duplicate U token for chord 1$"),
     ("U1 U1- O1+", "^chord 1: sign mismatch between O and U tokens$"),
     ("U2 U1 U1+", "^chord 2 has no sign on either token$"),
+    ("O1+ U1+ U1+", "^duplicate U token for chord 1$"),
+    ("O1+ U2+ O2+", "^chord 1 is missing its U token$"),
+    ("O1+ U1+ O3- U3-", "^chord ids must be exactly 1\\.\\.2, got \\[1, 3\\]$"),
 ])
 def test_malformed_codes_are_rejected(code, message):
     with pytest.raises(GaussCodeError, match=message):
         parse_gauss_code(code)
+
+
+TAGS = {"+": 1, "-": -1, "*": 0}
+
+# (kind, id, tag) tokens: soups of ids 1..5, and valid codes with one or two
+# tokens dropped, duplicated, or renumbered to k + 1.
+soups = st.lists(st.tuples(st.sampled_from("OU"), st.integers(1, 5), st.sampled_from([*TAGS, ""])),
+                 max_size=10)
+
+
+@st.composite
+def mutated_codes(draw):
+    k = draw(sizes)
+    tokens = [(t[0], int(t[1:-1]), t[-1]) for t in serialize(random_diagram(k, draw(seeds))).split()]
+    for _ in range(draw(st.integers(0, 2))):
+        if not tokens:
+            break
+        j, how = draw(st.integers(0, len(tokens) - 1)), draw(st.sampled_from("drop dup renumber".split()))
+        kind, cid, tag = tokens.pop(j) if how == "drop" else tokens[j]
+        if how == "dup":
+            tokens.insert(draw(st.integers(0, len(tokens))), (kind, cid, tag))
+        elif how == "renumber":
+            tokens[j] = (kind, k + 1, tag)
+    return tokens
+
+
+@given(st.one_of(soups, mutated_codes()))
+def test_a_parsed_code_is_accepted_exactly_when_its_events_are_valid(tokens):
+    code = " ".join("%s%d%s" % token for token in tokens)
+    tags = {}  # id -> the tags on its tokens, "" for an untagged one
+    for _, cid, tag in tokens:
+        tags.setdefault(cid, set()).add(tag)
+    try:
+        if any(kind == "O" and not tag for kind, _, tag in tokens) or any(
+                len(seen - {""}) != 1 for seen in tags.values()):
+            gauss._reject(gauss._TOKEN.findall(code))  # a token or tag check fails
+        sign = {cid: TAGS[(seen - {""}).pop()] for cid, seen in tags.items()}
+        want = GaussDiagram(tuple(Event(cid, kind, sign[cid]) for kind, cid, _ in tokens))
+    except GaussCodeError as exc:
+        want = str(exc)
+    if isinstance(want, str):
+        with pytest.raises(GaussCodeError) as got:
+            parse_gauss_code(code)
+        assert str(got.value) == want
+    else:
+        d = parse_gauss_code(code)
+        assert d == want and GaussDiagram(d.events) == d
+
+
+def test_a_parsed_code_skips_validate(monkeypatch):
+    """The parser proves a code's structure from its token columns; only
+    GaussDiagram(...) and from_chord_positions reach _validate."""
+    def refuse(events):
+        raise AssertionError("_validate called")
+
+    code = serialize(random_diagram(30, 5))
+    monkeypatch.setattr(gauss, "_validate", refuse)
+    for text, canonical in ((code, code), ("", ""), ("O1+ O2- U1 U2", "O1+ O2- U1+ U2-"),
+                            ("O1* U1*", "O1* U1*")):
+        assert serialize(parse_gauss_code(text)) == canonical
+    for build in (lambda: GaussDiagram(parse_gauss_code(code).events),
+                  lambda: from_chord_positions([(1, 2, 1)])):
+        with pytest.raises(AssertionError, match="^_validate called$"):
+            build()
 
 
 def test_reverse_reverses_the_event_sequence():

@@ -77,7 +77,7 @@ def test_terms_merge_and_sort():
 @pytest.mark.parametrize("terms", [
     [(1.5, 2)], [(1, 2.0)], [(True, 1)], [(1, False)],
     {"3": True}, {3: True}, {True: 3}, {1: 1, 2: None},
-    [(1,)], [(1, 2, 3)], [1, 2], 5, None,
+    [(1,)], [(1, 2, 3)], [1, 2], 5, None, [{1: 2, 3: 4}], [{5, 7}],
 ])
 def test_values_that_are_not_ints_raise(terms):
     with pytest.raises(TypeError, match="^ZPoly needs int exponents and coefficients"):
