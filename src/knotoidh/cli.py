@@ -6,7 +6,10 @@
     knotoidh gordian <codeA> <codeB> --json
     knotoidh selftest --samples 200 --seed 1
 
-Exit codes: 0 success, 1 property failure, 2 usage or parse error.
+Exit codes: 0 success, 1 property failure, 2 usage or parse error.  Every
+exit 2 writes one `error: <message>` line to stderr and nothing to stdout;
+a usage error (an unknown command or flag, a bad flag value, a missing
+`--code`/`--file`) prints no usage block, while `--help` is unchanged.
 
 `compute`, `compare` and `gordian` reach H through one function,
 `_each_H`: it parses a code, computes every H before anything is printed,
@@ -216,9 +219,17 @@ def _cmd_selftest(args) -> int:
     return 0 if report["ok"] else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, whose usage error
+    is one `error: <message>` line and exit 2."""
+
+    def error(self, message):
+        self.exit(2, "error: %s\n" % message)
+
+
 @cache  # built on the first main call and kept: parse_args fills a fresh namespace per call
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="knotoidh",
         description="Three-variable index invariant of knotoid Gauss diagrams.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,7 +13,9 @@ agree, and their tag is the chord's sign.
 An id is written in ASCII decimal without leading zeros, and the ids of a
 code must be exactly 1..k.  The empty code is the trivial diagram.  A
 code is read in one regular-expression scan; a rejected code raises
-GaussCodeError naming its first bad token in text order.
+GaussCodeError naming its first bad token in text order.  A code that
+passes the token and tag checks but holds an id longer than int() reads
+(sys.get_int_max_str_digits()) names its first such token.
 
 The entries that take events from outside check them once.
 `GaussDiagram(...)` and `from_chord_positions` run `_validate`, the
@@ -29,15 +31,18 @@ its chord table (`_table`) from its events on first use, except one from
 `crossing_change`: that hands its result d's table with the switched chord
 patched in, through `GaussDiagram._built_with_table`, its one caller.
 
-Three gates hold the package's argument rules, each written once and
-raising the error its caller names: `_text` (a reader got a str), `_tuple`
-(an iterable) and `_seeded` (a seed and int counts).
+Four gates hold the package's input rules, each written once and raising
+the error its caller names: `_text` (a reader got a str), `_tuple` (an
+iterable), `_seeded` (a seed and int counts) and `_json` (JSON text, the
+package's one `json.loads`).
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -105,6 +110,30 @@ def _text(text, what: str, error=GaussCodeError) -> str:
     if not isinstance(text, str):
         raise error("%s must be a str, not %s" % (what, type(text).__name__))
     return text
+
+
+def _json(text: str, what: str, error):
+    """json.loads(text), or one line of `error` for a decode error, an integer
+    past the interpreter's digit limit, a key given twice in one object, or
+    nesting too deep to read as `what`."""
+    try:
+        return json.loads(text, object_pairs_hook=_unrepeated)
+    except RecursionError:
+        raise error("JSON nested too deeply to read as %s" % what) from None
+    except ValueError as exc:  # JSONDecodeError is one too
+        raise error(str(exc)) from None
+
+
+def _unrepeated(pairs) -> dict:
+    """json.loads's object_pairs_hook: the dict of an object's pairs, or
+    ValueError naming its first repeated key.  The repeat is found by its key,
+    not by value identity: JSON's small ints are shared objects."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ValueError("JSON object repeats the key %r" % (key,))
+    return obj
 
 
 def _validate(events):
@@ -261,8 +290,9 @@ def parse_gauss_code(text: str) -> GaussDiagram:
 
     The code is checked once, over whole columns of tokens, and a code that
     passes is built unchecked (_built).  A code that fails a token or tag
-    check is walked token by token (_reject); one that fails a structure
-    check goes through GaussDiagram(...), whose _validate raises.
+    check is walked token by token (_reject); one with an id that int()
+    refuses goes to _reject_long; one that fails a structure check goes
+    through GaussDiagram(...), whose _validate raises.
     """
     found = _TOKEN.findall(_text(text, "a Gauss code"))
     if not found:
@@ -274,8 +304,11 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             or "" in tags and len(signs) != len(set(ids))):
         _reject(found)
     sign_of = dict(zip(signs, map(_TAGS.__getitem__, signs.values())))
-    events = tuple(map(tuple.__new__, repeat(Event),
-                       zip(map(int, ids), kinds, map(sign_of.__getitem__, ids))))
+    try:
+        events = tuple(map(tuple.__new__, repeat(Event),
+                           zip(map(int, ids), kinds, map(sign_of.__getitem__, ids))))
+    except ValueError:  # int() refused an id past the interpreter's digit limit
+        _reject_long(found)
     # The columns have settled each token's form and each chord's one sign.
     # Left for _validate's rules: no (id, kind) token twice and both tokens
     # of every chord; and ids 1..k, which k distinct positive ints (signs'
@@ -299,8 +332,17 @@ def _reject(found) -> None:
             raise GaussCodeError("token %r: O tokens need a sign or *" % (kind + cid))
         if tag and first.setdefault(cid, tag) != tag:
             raise GaussCodeError("chord %s: sign mismatch between O and U tokens" % cid)
-    unsigned = [int(cid) for _, cid, _, _ in found if cid not in first]
-    raise GaussCodeError("chord %d has no sign on either token" % min(unsigned))
+    # canonical decimals order as ints do by (length, text), with no int() to refuse a long id
+    cid = min((cid for _, cid, _, _ in found if cid not in first), key=lambda c: (len(c), c))
+    raise GaussCodeError("chord %s has no sign on either token" % cid)
+
+
+def _reject_long(found) -> None:
+    """Raise for the first token whose id is longer than int() reads."""
+    limit = sys.get_int_max_str_digits()
+    kind, cid, tag, _ = next(token for token in found if len(token[1]) > limit)
+    raise GaussCodeError("token %r: chord id has %d digits, past the interpreter's limit of %d"
+                         % (kind + cid[:8] + "..." + tag, len(cid), limit))
 
 
 def serialize(d: GaussDiagram) -> str:

@@ -45,7 +45,6 @@ one plan per (|d(c)|, policy), for every later call (_plan).
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from array import array
@@ -54,7 +53,7 @@ from functools import lru_cache, partial
 from itertools import compress
 from operator import eq, itemgetter, neg, sub
 
-from .gauss import SINGULAR, GaussCodeError, GaussDiagram, _crossing_row, _text
+from .gauss import SINGULAR, GaussCodeError, GaussDiagram, _crossing_row, _json, _text
 from .zpoly import (ReductionPolicy, ZPoly, _join_signed, _require_policy, reduce_exponent,
                     reduce_poly)
 
@@ -518,10 +517,7 @@ def invariant_from_json(text: str) -> Invariant:
     Canonical form includes the order invariant_to_json writes: terms
     ascending in (n, m, P), constants ascending in n.
     """
-    try:
-        data = json.loads(_text(text, "a JSON invariant", ValueError))
-    except RecursionError:
-        raise ValueError("JSON nested too deeply to read as an invariant") from None
+    data = _json(_text(text, "a JSON invariant", ValueError), "an invariant", ValueError)
     if not (isinstance(data, dict) and data.keys() == {"policy", "terms", "consts"}
             and isinstance(data["policy"], str) and isinstance(data["terms"], list)
             and isinstance(data["consts"], list)):
@@ -531,12 +527,13 @@ def invariant_from_json(text: str) -> Invariant:
     for t in data["terms"]:
         n, m, coeff = _json_int(t, "n", 0), _json_int(t, "m", 0), _json_int(t, "coeff")
         pairs = t.get("P")
-        if not (isinstance(pairs, list) and all(
-                isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
-                for p in pairs)):
+        # ZPoly's TypeError holds the pair rule; a P that is not a list (ZPoly
+        # would read a dict or a str) goes in as None, which it refuses
+        try:
+            P = ZPoly(pairs if isinstance(pairs, list) else None)
+        except TypeError:
             raise ValueError("P must be a list of [exponent, coefficient] integer pairs"
-                             " in term %r" % (t,))
-        P = ZPoly(pairs)
+                             " in term %r" % (t,)) from None
         if not P:
             raise ValueError("zero exponent polynomial in term %r" % (t,))
         if [list(p) for p in P.terms] != pairs:

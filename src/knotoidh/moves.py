@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from types import MappingProxyType
 
-from .gauss import Event, GaussDiagram, _seeded, _text, _tuple
+from .gauss import Event, GaussDiagram, _json, _seeded, _text, _tuple
 
 __all__ = [
     "MoveError",
@@ -472,19 +472,14 @@ def parse_trace(text: str) -> list:
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MoveError("line %d: %s" % (lineno, exc)) from None
-        except RecursionError:
-            raise MoveError("line %d: JSON nested too deeply to read as a move" % lineno) from None
-        if not (isinstance(obj, dict) and "move" in obj
-                and isinstance(obj.get("params"), dict)):
-            raise MoveError('line %d: expected {"move": kind, "params": {...}}' % lineno)
-        extra = sorted(obj.keys() - {"move", "params"})
-        if extra:
-            raise MoveError("line %d: unexpected key %r; a trace line holds only move and params"
-                            % (lineno, extra[0]))
-        try:
+            obj = _json(line, "a move", MoveError)
+            if not (isinstance(obj, dict) and "move" in obj
+                    and isinstance(obj.get("params"), dict)):
+                raise MoveError('expected {"move": kind, "params": {...}}')
+            extra = sorted(obj.keys() - {"move", "params"})
+            if extra:
+                raise MoveError("unexpected key %r; a trace line holds only move and params"
+                                % extra[0])
             out.append(MoveSpec(obj["move"], obj["params"]))
         except MoveError as exc:
             raise MoveError("line %d: %s" % (lineno, exc)) from None

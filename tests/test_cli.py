@@ -106,6 +106,22 @@ def test_compute_rejects_a_malformed_file_line_by_its_number_and_name(capsys, tm
     assert (rc, out, err) == (2, "", "error: line 2 (b): malformed token 'X'\n")
 
 
+@pytest.mark.parametrize("argv, prefix", [
+    (["compute", "--code", "{0}"], ""),
+    (["compute", "--file", "{1}"], "line 2 (b): "),
+    (["compare", CODE, "{0}"], "code_b: "),
+    (["gordian", "{0}", ""], "code_a: "),
+], ids=["code", "file", "compare", "gordian"])
+def test_a_long_id_is_one_error_line(capsys, tmp_path, long_digits, argv, prefix):
+    code = "O{0}+ U{0}+".format(long_digits)
+    path = tmp_path / "long.gko"
+    path.write_text("a: %s\nb: %s\n" % (CODE, code))
+    message = ("token 'O11111111...+': chord id has 5000 digits, past the interpreter's"
+               " limit of 4300")
+    argv = [arg.format(code, path) for arg in argv]
+    assert run(capsys, *argv) == (2, "", "error: %s%s\n" % (prefix, message))
+
+
 @pytest.mark.parametrize("command", [["compare"], ["gordian"], ["gordian", "--json"]])
 @pytest.mark.parametrize("codes, message", [
     (("O1* U1*", "O1+ U1+"), "code_a: diagram has singular chords; resolve them first"),
@@ -359,6 +375,28 @@ def test_selftest_accepts_max_chords_two(capsys):
 def test_usage_error_exits_nonzero():
     with pytest.raises(SystemExit):
         main(["compute"])
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["selftest", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
+    (["compute", "--code", "O1+ U1+", "--mode", "bad"], "argument --mode: invalid choice: 'bad'"),
+    (["compute"], "one of the arguments --code --file is required"),
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+], ids=["bad_int", "bad_choice", "no_input", "unknown_command"])
+def test_a_usage_error_is_one_line(capsys, argv, message):
+    """argparse words the message (how it lists choices varies by version);
+    the CLI prints it as one line, with no usage block."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "")
+    assert out.err.startswith("error: %s" % message) and out.err.count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: knotoidh compute")
 
 
 def choices(command, flag):

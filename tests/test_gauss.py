@@ -83,6 +83,33 @@ def test_malformed_codes_are_rejected(code, message):
         parse_gauss_code(code)
 
 
+@pytest.mark.parametrize("code, token", [
+    ("O{0}+ U{0}+", "O11111111...+"),
+    ("O1+ U1+ U{0}- O{0}-", "U11111111...-"),
+    ("O1+ U{0} O{0}* U1+", "U11111111..."),
+    ("O{0}+ U{0}+ O{0}+", "O11111111...+"),  # before the repeated token
+], ids=["first", "later", "untagged", "repeated"])
+def test_an_id_longer_than_int_reads_names_its_first_token(long_digits, code, token):
+    with pytest.raises(GaussCodeError) as info:
+        parse_gauss_code(code.format(long_digits))
+    assert str(info.value) == ("token %r: chord id has 5000 digits, past the interpreter's"
+                               " limit of 4300" % token)
+
+
+def test_a_token_or_tag_check_comes_before_the_digit_limit(long_digits):
+    for code, message in (("O{0}+ X", "malformed token 'X'"),
+                          ("O{0}+ U{0}+ U2", "chord 2 has no sign on either token")):
+        with pytest.raises(GaussCodeError) as info:
+            parse_gauss_code(code.format(long_digits))
+        assert str(info.value) == message
+
+
+def test_a_gko_line_with_a_long_id_is_named(long_digits):
+    with pytest.raises(GaussCodeError) as info:
+        parse_gko("a: O1+ U1+\nb: O{0}+ U{0}+\n".format(long_digits))
+    assert str(info.value).startswith("line 2 (b): token 'O11111111...+': chord id has 5000")
+
+
 TAGS = {"+": 1, "-": -1, "*": 0}
 
 # (kind, id, tag) tokens: soups of ids 1..5, and valid codes with one or two

@@ -1,7 +1,7 @@
 """Every imported name in the package and its tests is used, every private
 top-level name of the package is read, each builder that trusts its input
-(the unchecked ZPoly constructor, the diagram built with its chord table) is
-called from one place, events are switched only by mirror and
+(the unchecked ZPoly constructor, the diagram built with its chord table,
+json.loads) is called from one place, events are switched only by mirror and
 crossing_change, and the brute-force oracle imports nothing but the
 standard library."""
 
@@ -118,6 +118,11 @@ def test_unchecked_zpolys_are_built_only_by_from_summands():
     """Only from_summands may trust its terms: every other ZPoly goes through ZPoly(...)."""
     assert builder_sites(package_sources(), "ZPoly", "_built") == [
         ("invariant.py", "Invariant.from_summands")]
+
+
+def test_json_is_read_only_through_its_gate():
+    """gauss._json is the one json.loads: every JSON reader shares its strict rules."""
+    assert builder_sites(package_sources(), "json", "loads") == [("gauss.py", "_json")]
 
 
 PATCHED_TABLE_SITES = [("gauss.py", "crossing_change")]

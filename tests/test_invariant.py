@@ -361,6 +361,9 @@ def test_json_keeps_modulus_zero_on_a_degree_zero_chord():
     ({"P": [[True, 1]]}, "P must be a list"),
     ({"P": [[1]]}, "P must be a list"),
     ({"P": "z"}, "P must be a list"),
+    ({"P": ""}, "P must be a list"),  # ZPoly("") and ZPoly({}) are zero; P must be a list first
+    ({"P": {}}, "P must be a list"),
+    ({"P": None}, "P must be a list"),
     ({"P": []}, "zero exponent polynomial"),
     ({"P": [[1, 1], [1, -1]]}, "zero exponent polynomial"),
     ({"m": 0, "P": [[2, 1], [1, 1]]}, "ascending distinct exponents"),
@@ -405,6 +408,26 @@ def test_json_rejects_terms_out_of_render_order():
     data["terms"][2:4] = data["terms"][3:1:-1]  # equal n and m, P swapped
     with pytest.raises(ValueError, match="^term .* is out of order"):
         invariant_from_json(json.dumps(data))
+
+
+def test_json_long_integer_is_one_value_error(long_digits):
+    text = '{"policy": "quotient", "terms": [], "consts": [{"n": 1, "coeff": %s}]}' % long_digits
+    with pytest.raises(ValueError) as info:
+        invariant_from_json(text)
+    assert type(info.value) is ValueError and str(info.value).startswith("Exceeds the limit ")
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"policy": "quotient", "policy": "literal", "terms": [], "consts": []}', "policy"),
+    ('{"policy": "quotient", "terms": [{"n": 1, "m": 2, "P": [[1, 1]], "coeff": 1, "coeff": 1}],'
+     ' "consts": []}', "coeff"),
+    ('{"policy": "quotient", "terms": [], "consts": [{"n": 1, "n": 2, "coeff": 1}]}', "n"),
+], ids=["top_level", "term", "constant"])
+def test_json_rejects_a_repeated_key(text, key):
+    with pytest.raises(ValueError) as info:
+        invariant_from_json(text)
+    assert str(info.value) == "JSON object repeats the key %r" % key
 
 
 @pytest.mark.parametrize("text", ["[" * 100000, '{"a": ' * 100000],

@@ -476,6 +476,26 @@ def test_parse_trace_rejects_json_nested_too_deeply(bad):
     assert str(info.value) == "line 2: JSON nested too deeply to read as a move"
 
 
+def test_parse_trace_rejects_a_long_integer_with_its_line_number(long_digits):
+    good = '{"move": "r1_delete", "params": {"cid": 1}}'
+    with pytest.raises(MoveError) as info:
+        parse_trace(good + '\n{"move": "r1_insert", "params": {"gap": %s}}' % long_digits)
+    assert str(info.value).startswith("line 2: Exceeds the limit ")
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("line, key", [
+    ('{"move": "r1_insert", "params": {"gap": 5, "gap": 0}}', "gap"),
+    ('{"move": "r1_delete", "move": "r1_insert", "params": {"gap": 0}}', "move"),
+    ('{"move": "r1_insert", "params": {"gap": 0}, "params": {"gap": 0}}', "params"),
+], ids=["params", "move", "top_level"])
+def test_parse_trace_rejects_a_repeated_key(line, key):
+    good = '{"move": "r1_delete", "params": {"cid": 1}}'
+    with pytest.raises(MoveError) as info:
+        parse_trace(good + "\n" + line)
+    assert str(info.value) == "line 2: JSON object repeats the key %r" % key
+
+
 def test_parse_trace_rejects_keys_other_than_move_and_params():
     good = '{"move": "r1_delete", "params": {"cid": 1}}'
     for extra, key in (('"extra": [1]', "extra"), ('"Move": "r3", "z": 0', "Move")):
