@@ -19,13 +19,17 @@ Each choice and bound is declared once and read by the parser: `--mode`
 from `ReductionPolicy`, `--format` from `render`'s format table, `--check`
 from `_SYMMETRIES` (the kinds `symmetry_image` accepts) plus `none`, and
 the `selftest` flags' least values from `_LEAST`, which `run_selftest`
-checks too, once its counts have passed `_seeded`'s int gate.
+checks too, once its counts have passed `_seeded`'s int gate.  Every int
+flag (`--samples`, `--max-chords`, `--seed`) is read by `_canonical_int`:
+an ASCII decimal with no leading zeros and `-` the only sign, so `--seed ٥`,
+`1_0`, `+2`, `007` or ` 3 ` is a usage error, `invalid int value`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import cache, partial
 
@@ -219,6 +223,21 @@ def _cmd_selftest(args) -> int:
     return 0 if report["ok"] else 1
 
 
+# The int flags' one form: ASCII decimal, no leading zeros, `-` the only sign.
+_INT = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _canonical_int(text: str) -> int:
+    """The argparse type of every int flag: int(text) for text in _INT's
+    form, else argparse's `invalid int value` line."""
+    try:
+        if _INT.fullmatch(text):
+            return int(text)
+    except ValueError:  # past int()'s digit limit; argparse would name this function
+        pass
+    raise argparse.ArgumentTypeError("invalid int value: %r" % text)
+
+
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and so each of its subparsers, whose usage error
     is one `error: <message>` line and exit 2."""
@@ -264,9 +283,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gordian)
 
     p = sub.add_parser("selftest", help="run the seeded property battery")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--max-chords", type=int, default=6, dest="max_chords")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_canonical_int, default=100)
+    p.add_argument("--max-chords", type=_canonical_int, default=6, dest="max_chords")
+    p.add_argument("--seed", type=_canonical_int, default=0)
     p.set_defaults(func=_cmd_selftest)
     return parser
 

@@ -20,9 +20,11 @@ passes the token and tag checks but holds an id longer than int() reads
 The entries that take events from outside check them once.
 `GaussDiagram(...)` and `from_chord_positions` run `_validate`, the
 event-by-event check.  `parse_gauss_code` (and so `parse_gko`/`load_gko`)
-checks a code on its token columns and builds through `_built`; it calls
-`GaussDiagram(...)` only so that `_validate` words the message for a code
-that fails a structure check (a repeated or missing token, ids not 1..k).
+reads each id with one int() call, checks a code on its token columns and
+builds through `_built`.  `_reject` words every token fault; the parser
+calls `GaussDiagram(...)` only so that `_validate` words the message for a
+code that fails a structure check (a repeated or missing token, ids not
+1..k).
 The library's own builders (the moves, `reverse`, `mirror`,
 `crossing_change` and the singular markings and resolutions) make valid
 events by construction and go through `GaussDiagram._built`, which does not
@@ -289,39 +291,38 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     """Parse a Gauss code string; see the module grammar.
 
     The code is checked once, over whole columns of tokens, and a code that
-    passes is built unchecked (_built).  A code that fails a token or tag
-    check is walked token by token (_reject); one with an id that int()
-    refuses goes to _reject_long; one that fails a structure check goes
-    through GaussDiagram(...), whose _validate raises.
+    passes is built unchecked (_built).  _reject words every token fault: a
+    code that fails a token or tag check, or holds an id that int() refuses.
+    One that fails a structure check goes through GaussDiagram(...), whose
+    _validate words the message.
     """
     found = _TOKEN.findall(_text(text, "a Gauss code"))
     if not found:
         return GaussDiagram._built(())
     kinds, ids, tags, junk = zip(*found)
     signs = dict(compress(zip(ids, tags), tags))  # id -> the last tag on any of its tokens
-    if (any(junk) or "0" in ids or ("O", "") in zip(kinds, tags)
+    try:  # int() refuses a junk token's empty id and an id past the interpreter's digit limit
+        nums = tuple(map(int, ids))
+    except ValueError:
+        _reject(found)
+    if ("0" in ids or ("O", "") in zip(kinds, tags)
             or len(set(compress(zip(ids, tags), tags))) != len(signs)
             or "" in tags and len(signs) != len(set(ids))):
         _reject(found)
-    sign_of = dict(zip(signs, map(_TAGS.__getitem__, signs.values())))
-    try:
-        events = tuple(map(tuple.__new__, repeat(Event),
-                           zip(map(int, ids), kinds, map(sign_of.__getitem__, ids))))
-    except ValueError:  # int() refused an id past the interpreter's digit limit
-        _reject_long(found)
+    events = tuple(map(tuple.__new__, repeat(Event),
+                       zip(nums, kinds, map(_TAGS.__getitem__, map(signs.__getitem__, ids)))))
     # The columns have settled each token's form and each chord's one sign.
     # Left for _validate's rules: no (id, kind) token twice and both tokens
-    # of every chord; and ids 1..k, which k distinct positive ints (signs'
-    # keys are canonical decimals) are exactly when the largest is k.
-    if (len(set(zip(ids, kinds))) == len(found) == 2 * len(signs)
-            and max(map(int, signs)) == len(signs)):
+    # of every chord; and ids 1..k, which k distinct positive ints (the ids
+    # are canonical decimals) are exactly when the largest is k.
+    if len(set(zip(ids, kinds))) == len(found) == 2 * len(signs) and max(nums) == len(signs):
         return GaussDiagram._built(events)
     return GaussDiagram(events)  # _validate raises, and words the message
 
 
 def _reject(found) -> None:
-    """Raise for the first bad token of a code that failed a column check,
-    else for its least chord with no tagged token."""
+    """Raise for the first bad token of a rejected code, else for its least
+    chord with no tagged token, else for its first id longer than int() reads."""
     first = {}  # id -> the tag of its first tagged token
     for kind, cid, tag, junk in found:
         if junk:
@@ -333,12 +334,9 @@ def _reject(found) -> None:
         if tag and first.setdefault(cid, tag) != tag:
             raise GaussCodeError("chord %s: sign mismatch between O and U tokens" % cid)
     # canonical decimals order as ints do by (length, text), with no int() to refuse a long id
-    cid = min((cid for _, cid, _, _ in found if cid not in first), key=lambda c: (len(c), c))
-    raise GaussCodeError("chord %s has no sign on either token" % cid)
-
-
-def _reject_long(found) -> None:
-    """Raise for the first token whose id is longer than int() reads."""
+    unsigned = min(((len(cid), cid) for _, cid, _, _ in found if cid not in first), default=None)
+    if unsigned:
+        raise GaussCodeError("chord %s has no sign on either token" % unsigned[1])
     limit = sys.get_int_max_str_digits()
     kind, cid, tag, _ = next(token for token in found if len(token[1]) > limit)
     raise GaussCodeError("token %r: chord id has %d digits, past the interpreter's limit of %d"
@@ -472,8 +470,8 @@ def load_gko(path) -> list:
 
 @cache
 def _bundled_pairs() -> tuple:
-    text = resources.files(__package__).joinpath("data/paper_fixtures.gko").read_text()
-    return tuple(parse_gko(text))
+    path = resources.files(__package__).joinpath("data/paper_fixtures.gko")
+    return tuple(parse_gko(path.read_text(encoding="utf-8")))
 
 
 def bundled_diagrams() -> dict:

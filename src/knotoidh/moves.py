@@ -305,7 +305,7 @@ def detect_r3(d: GaussDiagram) -> list:
         if events[q - 1].chord != events[r].chord:  # role c1 at q and r+1
             continue
         roles = (events[q - 1].chord, eb.chord, ea.chord)
-        for variant in ("3a", "3a_prime"):
+        for variant in _R3_LAYOUTS:
             if _r3_matches(events, variant, (p, q, r), roles):
                 out.append(R3Config(variant, (p, q, r), roles))
     return out
@@ -406,7 +406,7 @@ _MOVES = {
         {"id1": (int, ...), "id2": (int, ...)}, r2_delete, _r2_delete_inverse,
         _listed(lambda d: detect_r2(d), lambda pair: dict(zip(("id1", "id2"), pair)))),
     "r3": _Move(
-        {"variant": (("3a", "3a_prime"), ...), "bases": (3, ...),
+        {"variant": (tuple(_R3_LAYOUTS), ...), "bases": (3, ...),
          "roles": (3, ...)},
         lambda d, **prm: r3_apply(d, R3Config(**prm)),
         lambda d, prm: MoveSpec("r3", prm),

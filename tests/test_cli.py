@@ -53,7 +53,7 @@ def test_compute_latex(capsys):
 
 def test_compute_from_file(capsys, tmp_path):
     path = tmp_path / "pair.gko"
-    path.write_text("a: %s\nb:\n" % CODE)
+    path.write_text("a: %s\nb:\n" % CODE, encoding="utf-8")
     rc, out, _ = run(capsys, "compute", "--file", str(path))
     assert rc == 0
     assert out.splitlines() == [H_QUOT, "0"]
@@ -101,7 +101,7 @@ def test_compute_rejects_a_file_with_a_singular_diagram_by_its_name(capsys):
 
 def test_compute_rejects_a_malformed_file_line_by_its_number_and_name(capsys, tmp_path):
     path = tmp_path / "bad.gko"
-    path.write_text("a: %s\nb: O1+ X\n" % CODE)
+    path.write_text("a: %s\nb: O1+ X\n" % CODE, encoding="utf-8")
     rc, out, err = run(capsys, "compute", "--file", str(path))
     assert (rc, out, err) == (2, "", "error: line 2 (b): malformed token 'X'\n")
 
@@ -115,7 +115,7 @@ def test_compute_rejects_a_malformed_file_line_by_its_number_and_name(capsys, tm
 def test_a_long_id_is_one_error_line(capsys, tmp_path, long_digits, argv, prefix):
     code = "O{0}+ U{0}+".format(long_digits)
     path = tmp_path / "long.gko"
-    path.write_text("a: %s\nb: %s\n" % (CODE, code))
+    path.write_text("a: %s\nb: %s\n" % (CODE, code), encoding="utf-8")
     message = ("token 'O11111111...+': chord id has 5000 digits, past the interpreter's"
                " limit of 4300")
     argv = [arg.format(code, path) for arg in argv]
@@ -377,6 +377,15 @@ def test_usage_error_exits_nonzero():
         main(["compute"])
 
 
+def usage_error(capsys, argv) -> str:
+    """The one stderr line of a usage error, once its exit 2 and empty stdout are checked."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert (exc.value.code, out.out) == (2, "") and out.err.count("\n") == 1
+    return out.err
+
+
 @pytest.mark.parametrize("argv, message", [
     (["selftest", "--samples", "x"], "argument --samples: invalid int value: 'x'"),
     (["compute", "--code", "O1+ U1+", "--mode", "bad"], "argument --mode: invalid choice: 'bad'"),
@@ -386,11 +395,29 @@ def test_usage_error_exits_nonzero():
 def test_a_usage_error_is_one_line(capsys, argv, message):
     """argparse words the message (how it lists choices varies by version);
     the CLI prints it as one line, with no usage block."""
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    out = capsys.readouterr()
-    assert (exc.value.code, out.out) == (2, "")
-    assert out.err.startswith("error: %s" % message) and out.err.count("\n") == 1
+    assert usage_error(capsys, argv).startswith("error: %s" % message)
+
+
+INT_FLAGS = ("--samples", "--max-chords", "--seed")
+
+
+@pytest.mark.parametrize("flag", INT_FLAGS)
+@pytest.mark.parametrize("value", ["\u0665", "1_0", " 3 ", "+2", "007", "-0", "-05", "3\n"])
+def test_an_int_flag_takes_a_canonical_ascii_decimal_only(capsys, flag, value):
+    err = usage_error(capsys, ["selftest", flag, value])
+    assert err == "error: argument %s: invalid int value: %r\n" % (flag, value)
+
+
+@pytest.mark.parametrize("flag", INT_FLAGS)
+def test_an_int_flag_past_the_digit_limit_keeps_the_int_wording(capsys, long_digits, flag):
+    err = usage_error(capsys, ["selftest", flag, long_digits])
+    assert err == "error: argument %s: invalid int value: '%s'\n" % (flag, long_digits)
+
+
+@pytest.mark.parametrize("seed", ["-5", "0"])
+def test_a_negative_or_zero_seed_still_runs(capsys, seed):
+    rc, out, err = run(capsys, "selftest", "--samples", "1", "--max-chords", "2", "--seed", seed)
+    assert (rc, err, json.loads(out)["seed"]) == (0, "", int(seed))
 
 
 def test_help_still_prints_usage(capsys):

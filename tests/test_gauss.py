@@ -1,8 +1,14 @@
 """Gauss code parsing, diagram containers, and symmetry operations."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import knotoidh
 from knotoidh import gauss
 from knotoidh.gauss import (
     Event,
@@ -212,7 +218,7 @@ def test_outside_entries_check_the_events(tmp_path):
         return GaussDiagram(tuple(Event(1, token[0], 1) for token in code.split()))
 
     def from_file(code):
-        gko.write_text("a: " + code)
+        gko.write_text("a: " + code, encoding="utf-8")
         return load_gko(gko)
 
     for make, where in ((from_events, ""), (parse_gauss_code, ""),
@@ -335,6 +341,22 @@ def test_a_text_reader_rejects_input_that_is_not_a_str(read, text, error, messag
     assert type(exc.value) is error and str(exc.value) == message
 
 
+def test_a_parsed_code_reads_each_id_once(monkeypatch):
+    """parse_gauss_code converts its id column once: one int() call per token."""
+    calls = []
+
+    def counting_int(text):
+        calls.append(text)
+        return int(text)
+
+    code = serialize(random_diagram(7, 3))
+    monkeypatch.setattr(gauss, "int", counting_int, raising=False)
+    for text, canonical in ((code, code), ("O1+ O2- U1 U2", "O1+ O2- U1+ U2-")):
+        calls.clear()
+        assert serialize(parse_gauss_code(text)) == canonical
+        assert len(calls) == len(text.split())
+
+
 def test_parse_gko_names_and_comments():
     entries = parse_gko("# header\n\na: O1+ U1+\nb:\n")
     assert [(n, serialize(d)) for n, d in entries] == [("a", "O1+ U1+"), ("b", "")]
@@ -350,6 +372,17 @@ def test_bundled_diagrams():
     fixtures.clear()  # each call returns its own dict over one parse
     again = bundled_diagrams()
     assert len(again) == 5 and again["2_2"] is bundled_diagrams()["2_2"]
+
+
+def test_bundled_diagrams_are_read_as_utf8():
+    """The fixture file names its encoding, so no locale's default is read."""
+    path = [str(Path(knotoidh.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                          "-W", "error::EncodingWarning",
+                          "-c", "import knotoidh; knotoidh.bundled_diagrams()"],
+                         env=env, capture_output=True, encoding="utf-8", timeout=60)
+    assert (run.returncode, run.stderr) == (0, "")
 
 
 def test_diagram_is_hashable_and_frozen():

@@ -36,7 +36,7 @@ def unused_imports(source: str) -> list:
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
-    assert unused_imports(path.read_text()) == []
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_scan_flags_an_unused_import():
@@ -71,7 +71,7 @@ def dead_private_names(sources: dict) -> list:
 
 
 def test_no_dead_private_helpers():
-    package = {p.name: p.read_text() for p in ROOT.glob("src/knotoidh/*.py")}
+    package = {p.name: p.read_text(encoding="utf-8") for p in ROOT.glob("src/knotoidh/*.py")}
     assert dead_private_names(package) == []
 
 
@@ -111,7 +111,7 @@ def builder_sites(sources: dict, owner, attr: str) -> list:
 
 
 def package_sources() -> dict:
-    return {p.name: p.read_text() for p in ROOT.glob("src/knotoidh/*.py")}
+    return {p.name: p.read_text(encoding="utf-8") for p in ROOT.glob("src/knotoidh/*.py")}
 
 
 def test_unchecked_zpolys_are_built_only_by_from_summands():
@@ -188,7 +188,7 @@ def imported_modules(source: str) -> set:
 
 def test_oracle_imports_only_the_standard_library():
     """The oracle that tier-1 and the benchmark share never reads the code it checks."""
-    source = (ROOT / "perfbench" / "oracle.py").read_text()
+    source = (ROOT / "perfbench" / "oracle.py").read_text(encoding="utf-8")
     modules = imported_modules(source)
     assert modules and modules <= sys.stdlib_module_names, modules - sys.stdlib_module_names
     assert "knotoidh" not in source and "__import__" not in source
