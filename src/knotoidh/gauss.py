@@ -31,7 +31,8 @@ events by construction and go through `GaussDiagram._built`, which does not
 check again; the tests check their output instead.  Every diagram builds
 its chord table (`_table`) from its events on first use, except one from
 `crossing_change`: that hands its result d's table with the switched chord
-patched in, through `GaussDiagram._built_with_table`, its one caller.
+patched in, and d's store of class cells with the switched chord's left
+to be read again, through `GaussDiagram._built_with_table`, its one caller.
 
 Four gates hold the package's input rules, each written once and raising
 the error its caller names: `_text` (a reader got a str), `_tuple` (an
@@ -188,12 +189,26 @@ class GaussDiagram:
         object.__setattr__(d, "events", events)
         return d
 
+    # policy -> [None, class cells of chord 1, ..., of chord k] on a diagram that
+    # crossing_change made, None elsewhere; see _built_with_table.
+    _class_cells = None
+
     @classmethod
-    def _built_with_table(cls, events: tuple, table: _ChordTable) -> GaussDiagram:
+    def _built_with_table(cls, events: tuple, table: _ChordTable,
+                          class_cells: dict) -> GaussDiagram:
         """_built(events) with its chord table already made; table must be
-        exactly what _table would build from events."""
+        exactly what _table would build from events.
+
+        class_cells is the diagram's store of class cells: for each policy a
+        list, indexed by chord id, of that chord's class cells ((n, phi),
+        count) as invariant.compute_H reads them, or None for a chord whose
+        cells are still to be read.  compute_H fills it and re-reads only the
+        None entries.  The cell lists are shared between diagrams and never
+        mutated; each diagram owns its own dict and its own outer lists.
+        """
         d = cls._built(events)
         object.__setattr__(d, "_table", table)  # fills the cached_property
+        object.__setattr__(d, "_class_cells", class_cells)
         return d
 
     @property
@@ -374,6 +389,14 @@ def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
     c's Over and Under endpoints leaves what each endpoint adds to W(p), so
     W and every other degree stay, and d(c) changes sign (an undefined d(c)
     stays undefined).  at and mate are shared.
+
+    The result also gets d's class cells (see _built_with_table), with c's
+    left to be read again.  Every other chord keeps its cells: for a chord e
+    crossing c, the switch moves c between r(e) and l(e) and negates sgn(c)
+    and d(c), so c still adds sgn(c) at degree d(c) (from r(e), sgn(c) at
+    d(c); from l(e), -(-sgn(c)) at -(-d(c))), and d(e), hence e's modulus,
+    stays.  A chord that does not cross c does not see it.  The result holds
+    d's cell lists, never d itself; a d without a store hands on an empty one.
     """
     if d.chord(cid).sign == SINGULAR:
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)
@@ -384,8 +407,13 @@ def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
     over, under, sign, degree = over[:], under[:], sign[:], degree[:]
     over[cid], under[cid], sign[cid] = u, o, -sign[cid]
     degree[cid] = degree[cid] and -degree[cid]  # None stays None
+    class_cells = {}
+    for policy, cells in (d._class_cells or {}).items():
+        cells = class_cells[policy] = cells[:]
+        cells[cid] = None
     return GaussDiagram._built_with_table(tuple(events),
-                                          _ChordTable(over, under, sign, degree, at, mate))
+                                          _ChordTable(over, under, sign, degree, at, mate),
+                                          class_cells)
 
 
 def _seeded(seed, error=ValueError, **counts) -> random.Random:

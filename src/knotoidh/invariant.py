@@ -31,16 +31,26 @@ one pass over its span (_row_cells), from position columns that hold each
 endpoint's signed degree and sign as a backward chord sees them, and both
 negated as a forward chord does; no row is built first.  From there on it
 counts each chord's crossings per (n, phi) class in one bitset sweep
-(_histogram_cells).  Both sources take (table, policy) and hand each
-chord's class cells ((n, phi), count) on sorted by (n, phi), one per class
-and none zero, and _index_polys, compute_H's one tail, turns them into
-Ind_c^n: a run of equal n is already its sorted term tuple.  from_summands
+(_histogram_cells).  Both sources take (table, policy), the rows also the
+chords to read, and hand each chord's class cells ((n, phi), count) on
+sorted by (n, phi), one per class and none zero, and _index_polys,
+compute_H's one tail, turns them into Ind_c^n: a run of equal n is already
+its sorted term tuple.  from_summands
 sums the signs per (n, m, P) before it builds anything, then builds one ZPoly
 per stored term, unchecked (ZPoly._built): each P it is given is already
 canonical, a run of sorted class cells or the terms of a checked ZPoly.
 The class and reduced exponent of a crossing depend only on |d(c)|, its
 signed degree and the policy, so they are found once per process and kept,
 one plan per (|d(c)|, policy), for every later call (_plan).
+
+A diagram that gauss.crossing_change made carries a store of class cells,
+per policy a list by chord id (GaussDiagram._built_with_table), and
+compute_H reads the cells through it (_stored_cells): a policy with no list
+yet is filled from the source above, and after that only the chords the
+crossing changes left as None are read again, from their rows.  A crossing
+change keeps every other chord's cells (see crossing_change), so a skein
+sum's Gray walk reads one crossing row per step.  Every other diagram has no
+store, and compute_H streams its cells as above.
 """
 
 from __future__ import annotations
@@ -240,8 +250,8 @@ def _index_polys(table, chord_cells, include_n0):
             yield last, m, tuple(run), s
 
 
-def _row_cells(table, policy):
-    """(c, class cells of c) for every chord c, read from c's crossing row.
+def _row_cells(table, policy, chords):
+    """(c, class cells of c) for each chord c in chords, read from c's crossing row.
 
     e in r(c) adds sgn(e) to the cell of its degree D = d(e), e in l(c)
     adds -sgn(e) to that of D = -d(e); the cell is the class
@@ -260,7 +270,7 @@ def _row_cells(table, policy):
         back_deg[u] = fwd_deg[o] = -D
         back_sign[o] = fwd_sign[u] = s
         back_sign[u] = fwd_sign[o] = -s
-    for c in range(1, len(sign)):
+    for c in chords:
         o, u = over[c], under[c]
         if o > u:
             lo, hi, degs, signs = u, o, back_deg, back_sign
@@ -298,6 +308,7 @@ def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
     its class, e in l(c) adds -sgn(e) z^phi(-d(e)), both found by _plan.  A
     class whose terms all cancel stays, as ZPoly().
     """
+    _require_policy(policy)
     plan, classes = _plan(abs(degree(d, cid)), policy), {}
     _, _, sign, deg, _, _ = table = d._table
     for e, in_r in _crossing_row(table, cid):
@@ -414,16 +425,45 @@ def _histogram_cells(table, policy):
             yield c, compress(zip(keys, row), row)
 
 
+def _cells(table, policy):
+    """(c, class cells of c) for every chord c, from the source for the diagram's size."""
+    k = len(table.sign) - 1
+    if k >= _KERNEL_MIN_CHORDS:
+        return _histogram_cells(table, policy)
+    return _row_cells(table, policy, range(1, k + 1))
+
+
+def _stored_cells(table, policy, store):
+    """(c, class cells of c) for every chord c, kept in the diagram's store.
+
+    A policy with no list in the store gets one, filled from _cells; in a
+    list the store has, only the chords left as None are read, from their
+    rows, and a list with none reads nothing.  Each chord's cells are a new
+    list, never changed after.
+    """
+    cells = store.get(policy)
+    if cells is None:
+        cells = store[policy] = [None] * len(table.sign)
+        read = _cells(table, policy)
+    else:
+        stale = [c for c in range(1, len(cells)) if cells[c] is None]
+        read = _row_cells(table, policy, stale) if stale else ()
+    for c, row in read:
+        cells[c] = list(row)
+    return enumerate(cells[1:], 1)
+
+
 def compute_H(d: GaussDiagram,
               policy: ReductionPolicy = ReductionPolicy.QUOTIENT,
               include_n0: bool = False) -> Invariant:
     """Evaluate H over all chords and all gcd classes of the diagram."""
+    _require_policy(policy)
     if type(include_n0) is not bool:
         raise TypeError("include_n0 must be a bool, not %s" % type(include_n0).__name__)
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
-    table = d._table
-    cells = (_histogram_cells if d.k >= _KERNEL_MIN_CHORDS else _row_cells)(table, policy)
+    table, store = d._table, d._class_cells
+    cells = _cells(table, policy) if store is None else _stored_cells(table, policy, store)
     return Invariant.from_summands(policy, _index_polys(table, cells, include_n0))
 
 

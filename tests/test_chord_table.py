@@ -12,19 +12,29 @@ class counts from there on, and one tail turns them into H; the tests
 below also compare the two sources' class cells on the same diagrams and
 feed both through that tail, with a diagram for each rule by which degree
 counts merge into class counts, and pin H for criterion 10's diagram.
+
+A diagram that crossing_change made keeps the class cells compute_H read,
+per policy and per chord, and hands them on to its own crossing changes
+with the switched chord's cells left to read again; the last tests check
+that H from that store equals H of the same code parsed anew, that a child
+reads only the switched chord's row, that no other builder gives a diagram
+a store, and that a child holds its parent's cell lists, never the parent.
 """
 
+import gc
 import hashlib
 import math
+import operator
 import random
 import re
+import weakref
 from collections import Counter
 from unittest import mock
 
 import pytest
 
 import oracle
-from knotoidh import gauss, invariant
+from knotoidh import gauss, invariant, singular
 from knotoidh.gauss import (
     GaussCodeError,
     crossing_change,
@@ -35,7 +45,8 @@ from knotoidh.gauss import (
     serialize,
 )
 from knotoidh.gordian import crossing_change_delta
-from knotoidh.singular import make_singular, resolutions
+from knotoidh.moves import r1_insert, r2_insert
+from knotoidh.singular import make_singular, random_singular_diagram, resolutions
 from knotoidh.invariant import (
     Invariant,
     TermKey,
@@ -197,8 +208,10 @@ def test_brute_force_on_both_sides_of_the_cost_rule(make, seed):
 
 def both_sources(d, policy):
     """c -> class cells of c from the crossing rows, and the same from the histogram kernel."""
-    return [{c: list(cells) for c, cells in source(d._table, policy)}
-            for source in (invariant._row_cells, invariant._histogram_cells)]
+    table = d._table
+    return [{c: list(cells) for c, cells in source}
+            for source in (invariant._row_cells(table, policy, range(1, d.k + 1)),
+                           invariant._histogram_cells(table, policy))]
 
 
 def both_paths(d, policy, include_n0):
@@ -444,3 +457,121 @@ def test_crossing_change_patches_the_table_a_rebuild_would_make():
             assert changed._table == rebuilt_table(changed), (seed, c)
             crossed += changed._table.degree[c] is None
     assert crossed
+
+
+KERNEL = invariant._KERNEL_MIN_CHORDS
+STORE_SIZES = (1, 12, 30, KERNEL - 1, KERNEL, KERNEL + 6)
+
+
+def fresh_H(d, policy, include_n0=False):
+    """H of d's code read anew: a parsed diagram, which has no store of class cells."""
+    fresh = parse_gauss_code(serialize(d))
+    assert fresh._class_cells is None
+    return compute_H(fresh, policy, include_n0)
+
+
+@pytest.mark.parametrize("k", STORE_SIZES)
+def test_stored_class_cells_give_the_H_of_a_fresh_parse(monkeypatch, k):
+    """Every step of singular_H's Gray walk, and of a chain of 3k random
+    crossing changes, against H of the same code parsed anew.  Along the
+    chain the policy alternates step by step, so each list comes back with
+    two chords to read again, and include_n0 alternates every second step."""
+    walked = []
+
+    def checked(r, policy, include_n0):
+        h = compute_H(r, policy, include_n0)
+        assert h == fresh_H(r, policy, include_n0), (k, len(walked), policy, include_n0)
+        walked.append(r._class_cells is not None)
+        return h
+
+    monkeypatch.setattr(singular, "compute_H", checked)
+    s = min(k, 4)
+    for policy in POLICIES:
+        for include_n0 in (False, True):
+            walked.clear()
+            singular.singular_H(random_singular_diagram(k, s, k), policy, include_n0)
+            assert walked == [False] + [True] * ((1 << s) - 1)  # the first one is _signed's
+    rng = random.Random(k)
+    d = random_diagram(k, k + 1)
+    for step in range(3 * k):
+        d = crossing_change(d, rng.randint(1, k))
+        policy, include_n0 = POLICIES[step % 2], step % 4 >= 2
+        assert compute_H(d, policy, include_n0) == fresh_H(d, policy, include_n0), (k, step)
+    assert set(d._class_cells) == set(POLICIES)
+
+
+@pytest.mark.parametrize("k", [30, KERNEL + 6])
+def test_a_crossing_change_reads_the_switched_chord_alone_again(monkeypatch, k):
+    """A child of a diagram whose H was computed reads the crossing row of the
+    switched chord and no other; the parent's H and stored lists stay, and
+    switching the chord back gives the parent's H again."""
+    parent = crossing_change(random_diagram(k, 4), 1)
+    h = {policy: compute_H(parent, policy) for policy in POLICIES}
+    kept = {policy: (cells[:], [list(c) for c in cells[1:]])
+            for policy, cells in parent._class_cells.items()}
+    reads = []  # the chord list of each call of invariant._row_cells
+
+    def recorded(table, policy, chords):
+        reads.append(list(chords))
+        return rows(table, policy, reads[-1])
+
+    rows = invariant._row_cells
+    monkeypatch.setattr(invariant, "_row_cells", recorded)
+    for cid in (2, k // 2, k):
+        reads.clear()
+        child = crossing_change(parent, cid)
+        child_h = {policy: compute_H(child, policy) for policy in POLICIES}
+        assert reads == [[cid], [cid]]
+        assert child_h == {policy: fresh_H(child, policy) for policy in POLICIES}
+        back = crossing_change(child, cid)
+        assert {policy: compute_H(back, policy) for policy in POLICIES} == h
+        for policy, (cells, values) in kept.items():
+            stored = parent._class_cells[policy]
+            assert len(stored) == len(cells) and all(map(operator.is_, stored, cells))
+            assert stored[1:] == values
+    reads.clear()
+    assert {policy: compute_H(parent, policy) for policy in POLICIES} == h
+    assert reads == []
+
+
+def test_only_crossing_change_gives_a_diagram_a_store():
+    """Parsed and random diagrams, moves, the other symmetries and the skein
+    markings have no store of class cells and stream H as before, even
+    when the diagram they start from has one."""
+    base = crossing_change(random_diagram(9, 6), 3)
+    compute_H(base)
+    assert set(base._class_cells) == {ReductionPolicy.QUOTIENT}
+    plus, minus = resolutions(make_singular(base, [4]), 4)
+    built = [parse_gauss_code(serialize(base)), random_diagram(9, 6), random_nested_diagram(9, 6),
+             from_chord_positions([(1, 2, 1)]), r1_insert(base, 0), r2_insert(base, 2, 5),
+             gauss.reverse(base), gauss.mirror(base), make_singular(base, [2]), plus]
+    for d in built:
+        if not d.singular_ids():
+            compute_H(d)
+        assert d._class_cells is None and "_class_cells" not in vars(d), serialize(d)
+    assert minus._class_cells == {}
+    assert crossing_change(random_diagram(9, 6), 1)._class_cells == {}
+
+
+def test_a_child_holds_its_parent_s_cell_lists_never_the_parent(monkeypatch):
+    """The store does not chain diagrams, so a Gray walk keeps at most two
+    resolutions alive whatever the number of singular chords."""
+    d = crossing_change(random_diagram(30, 9), 5)
+    parent = weakref.ref(d)
+    compute_H(d)
+    c = crossing_change(d, 1)
+    compute_H(c)
+    del d
+    gc.collect()
+    assert parent() is None
+    assert c._class_cells
+    walk = []
+
+    def counted(r, policy, include_n0):
+        walk.append(weakref.ref(r))
+        assert sum(ref() is not None for ref in walk) <= 2, len(walk)
+        return compute_H(r, policy, include_n0)
+
+    monkeypatch.setattr(singular, "compute_H", counted)
+    singular.singular_H(random_singular_diagram(30, 6, 2))
+    assert len(walk) == 64

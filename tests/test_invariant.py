@@ -240,7 +240,7 @@ def test_policy_mismatch_raises():
         compute_H(d, QUOT) + compute_H(d, LIT)
 
 
-@pytest.mark.parametrize("policy", ["quotient", None, 1])
+@pytest.mark.parametrize("policy", ["quotient", None, 1, []])  # [] cannot be hashed
 @pytest.mark.parametrize("call", [
     lambda p: compute_H(random_diagram(30, 1), p),
     lambda p: compute_H(FIXTURES["trivial"], p),
