@@ -189,8 +189,8 @@ class GaussDiagram:
         object.__setattr__(d, "events", events)
         return d
 
-    # policy -> [None, class cells of chord 1, ..., of chord k] on a diagram that
-    # crossing_change made, None elsewhere; see _built_with_table.
+    # The store of class cells: None except on a diagram that crossing_change
+    # made; its format is set out at invariant._cells, its one reader.
     _class_cells = None
 
     @classmethod
@@ -199,12 +199,8 @@ class GaussDiagram:
         """_built(events) with its chord table already made; table must be
         exactly what _table would build from events.
 
-        class_cells is the diagram's store of class cells: for each policy a
-        list, indexed by chord id, of that chord's class cells ((n, phi),
-        count) as invariant.compute_H reads them, or None for a chord whose
-        cells are still to be read.  compute_H fills it and re-reads only the
-        None entries.  The cell lists are shared between diagrams and never
-        mutated; each diagram owns its own dict and its own outer lists.
+        class_cells is the diagram's store of class cells, in the format
+        set out at invariant._cells, which reads it and fills it.
         """
         d = cls._built(events)
         object.__setattr__(d, "_table", table)  # fills the cached_property
@@ -390,13 +386,14 @@ def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
     W and every other degree stay, and d(c) changes sign (an undefined d(c)
     stays undefined).  at and mate are shared.
 
-    The result also gets d's class cells (see _built_with_table), with c's
-    left to be read again.  Every other chord keeps its cells: for a chord e
-    crossing c, the switch moves c between r(e) and l(e) and negates sgn(c)
-    and d(c), so c still adds sgn(c) at degree d(c) (from r(e), sgn(c) at
-    d(c); from l(e), -(-sgn(c)) at -(-d(c))), and d(e), hence e's modulus,
-    stays.  A chord that does not cross c does not see it.  The result holds
-    d's cell lists, never d itself; a d without a store hands on an empty one.
+    The result also gets d's store of class cells (its format is set out at
+    invariant._cells), each list copied with c's entry None, to be read
+    again.  Every other chord keeps its cells: for a chord e crossing c,
+    the switch moves c between r(e) and l(e) and negates sgn(c) and d(c),
+    so c still adds sgn(c) at degree d(c) (from r(e), sgn(c) at d(c); from
+    l(e), -(-sgn(c)) at -(-d(c))), and d(e), hence e's modulus, stays.  A
+    chord that does not cross c does not see it.  The result holds d's cell
+    lists, never d itself; a d without a store hands on an empty one.
     """
     if d.chord(cid).sign == SINGULAR:
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)

@@ -26,16 +26,17 @@ include_n0 is set.  Crossing-change deltas and skein sums are signed sums of
 the same summand (t^P - 1) y^n, and Invariant.from_summands is the one place
 that turns summands into stored terms.
 
-Below _KERNEL_MIN_CHORDS chords compute_H reads each chord's crossing row in
-one pass over its span (_row_cells), from position columns that hold each
-endpoint's signed degree and sign as a backward chord sees them, and both
-negated as a forward chord does; no row is built first.  From there on it
-counts each chord's crossings per (n, phi) class in one bitset sweep
-(_histogram_cells).  Both sources take (table, policy), the rows also the
-chords to read, and hand each chord's class cells ((n, phi), count) on
-sorted by (n, phi), one per class and none zero, and _index_polys,
-compute_H's one tail, turns them into Ind_c^n: a run of equal n is already
-its sorted term tuple.  from_summands
+compute_H reads the class cells ((n, phi), count) of its chords through one
+reader, _cells.  With fewer than _KERNEL_MIN_CHORDS chords to read it reads
+each one's crossing row in one pass over its span (_row_cells), from
+position columns that hold each endpoint's signed degree and sign as a
+backward chord sees them, and both negated as a forward chord does; no row
+is built first.  From there on it counts every chord's crossings per
+(n, phi) class in one bitset sweep (_histogram_cells).  Both sources take
+(table, policy), the rows also the chords to read, and hand each chord's
+class cells on sorted by (n, phi), one per class and none zero, and
+_index_polys, compute_H's one tail, turns them into Ind_c^n: a run of equal
+n is already its sorted term tuple.  from_summands
 sums the signs per (n, m, P) before it builds anything, then builds one ZPoly
 per stored term, unchecked (ZPoly._built): each P it is given is already
 canonical, a run of sorted class cells or the terms of a checked ZPoly.
@@ -44,13 +45,12 @@ signed degree and the policy, so they are found once per process and kept,
 one plan per (|d(c)|, policy), for every later call (_plan).
 
 A diagram that gauss.crossing_change made carries a store of class cells,
-per policy a list by chord id (GaussDiagram._built_with_table), and
-compute_H reads the cells through it (_stored_cells): a policy with no list
-yet is filled from the source above, and after that only the chords the
-crossing changes left as None are read again, from their rows.  A crossing
-change keeps every other chord's cells (see crossing_change), so a skein
-sum's Gray walk reads one crossing row per step.  Every other diagram has no
-store, and compute_H streams its cells as above.
+per policy a list by chord id (its format is set out at _cells), and _cells
+reads only the chords that list leaves as None, so a store counts as many
+chords to read as it is missing.  A crossing change keeps every other
+chord's cells (see crossing_change), so a skein sum's Gray walk reads one
+crossing row per step.  Every other diagram has no store, and compute_H
+streams its cells.
 """
 
 from __future__ import annotations
@@ -89,11 +89,17 @@ __all__ = [
 # (y-exponent, modulus, exponent polynomial); m is 0 whenever P is constant.
 TermKey = namedtuple("TermKey", ["n", "m", "P"])
 
-# compute_H takes the histogram kernel from this many chords on.  Both
-# sources timed through the tail on random_diagram(k, 0..9), even k =
-# 14..120, both policies, best of 7 (Python 3.11, 2 CPUs), four draws: every
-# threshold from 60 to 70 came within 0.2% of the others, 1.5% to 1.7%
-# under 40 and within 2.5% of taking the faster source on each diagram.
+# _cells takes the histogram kernel from this many chords to read on, which
+# is the chord count k on a diagram without a store.  Both sources timed
+# through the tail on random_diagram(k, 0..9), even k = 14..120, both
+# policies, best of 7 (Python 3.11, 2 CPUs), four draws: every threshold
+# from 60 to 70 came within 0.2% of the others, 1.5% to 1.7% under 40 and
+# within 2.5% of taking the faster source on each diagram.  A store that
+# misses r of k chords reads r rows, or the kernel over all k.  At k = 1000
+# (random_diagram(1000, 97), Quotient, best of 9, three runs, shared host)
+# the kernel took 7.8 to 14 ms, as long as 80 to 100 rows: from 64 to 100
+# chords to read it is up to 1.5 times slower than their rows, and at 620
+# the rows took 3.7 to 7.8 times as long as the kernel.
 _KERNEL_MIN_CHORDS = 64
 
 # Bytes of a signed bitset field -> its array typecode; see _histogram_cells.
@@ -425,32 +431,39 @@ def _histogram_cells(table, policy):
             yield c, compress(zip(keys, row), row)
 
 
-def _cells(table, policy):
-    """(c, class cells of c) for every chord c, from the source for the diagram's size."""
-    k = len(table.sign) - 1
-    if k >= _KERNEL_MIN_CHORDS:
-        return _histogram_cells(table, policy)
-    return _row_cells(table, policy, range(1, k + 1))
+def _cells(d: GaussDiagram, policy):
+    """(c, class cells of c) for every chord c of d, read from a source or kept.
 
+    The store of class cells, d._class_cells, is None on every diagram but
+    one that gauss.crossing_change made.  There it is a dict from policy to
+    a list indexed by chord id, [None, cells of chord 1, ..., cells of
+    chord k]: an entry is the chord's class cells ((n, phi), count) as a
+    list, as the sources give them, or None for a chord whose cells are
+    still to be read.  Each diagram owns its dict and its outer lists, the
+    cell lists are shared between diagrams, and no list is changed once it
+    is stored.
 
-def _stored_cells(table, policy, store):
-    """(c, class cells of c) for every chord c, kept in the diagram's store.
-
-    A policy with no list in the store gets one, filled from _cells; in a
-    list the store has, only the chords left as None are read, from their
-    rows, and a list with none reads nothing.  Each chord's cells are a new
-    list, never changed after.
+    The chords to read are every chord without a store, and otherwise the
+    None entries of the policy's list, a policy with no list yet starting
+    from one all None.  Fewer than _KERNEL_MIN_CHORDS of them are read from
+    their rows; from there on the histogram kernel reads all k.  Without a
+    store the cells stream; a store keeps them in a new list that holds
+    what was read as new lists, and a complete list reads nothing.
     """
-    cells = store.get(policy)
-    if cells is None:
-        cells = store[policy] = [None] * len(table.sign)
-        read = _cells(table, policy)
-    else:
-        stale = [c for c in range(1, len(cells)) if cells[c] is None]
-        read = _row_cells(table, policy, stale) if stale else ()
-    for c, row in read:
-        cells[c] = list(row)
-    return enumerate(cells[1:], 1)
+    table, store = d._table, d._class_cells
+    kept = (store or {}).get(policy, [None] * len(table.sign))
+    read = [c for c in range(1, len(kept)) if kept[c] is None]
+    if read:
+        if len(read) < _KERNEL_MIN_CHORDS:
+            cells = _row_cells(table, policy, read)
+        else:
+            cells = _histogram_cells(table, policy)
+        if store is None:
+            return cells
+        kept = store[policy] = kept[:]
+        for c, row in cells:
+            kept[c] = list(row)
+    return enumerate(kept[1:], 1)
 
 
 def compute_H(d: GaussDiagram,
@@ -462,9 +475,7 @@ def compute_H(d: GaussDiagram,
         raise TypeError("include_n0 must be a bool, not %s" % type(include_n0).__name__)
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
-    table, store = d._table, d._class_cells
-    cells = _cells(table, policy) if store is None else _stored_cells(table, policy, store)
-    return Invariant.from_summands(policy, _index_polys(table, cells, include_n0))
+    return Invariant.from_summands(policy, _index_polys(d._table, _cells(d, policy), include_n0))
 
 
 def _map_exponents(inv: Invariant, f) -> Invariant:

@@ -17,8 +17,10 @@ A diagram that crossing_change made keeps the class cells compute_H read,
 per policy and per chord, and hands them on to its own crossing changes
 with the switched chord's cells left to read again; the last tests check
 that H from that store equals H of the same code parsed anew, that a child
-reads only the switched chord's row, that no other builder gives a diagram
-a store, and that a child holds its parent's cell lists, never the parent.
+reads only the switched chord's row, that a store missing
+_KERNEL_MIN_CHORDS chords or more takes the kernel instead of the rows,
+that no other builder gives a diagram a store, and that a child holds its
+parent's cell lists, never the parent.
 """
 
 import gc
@@ -532,6 +534,42 @@ def test_a_crossing_change_reads_the_switched_chord_alone_again(monkeypatch, k):
     reads.clear()
     assert {policy: compute_H(parent, policy) for policy in POLICIES} == h
     assert reads == []
+
+
+@pytest.mark.parametrize("changes", [KERNEL - 1, KERNEL])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_the_source_follows_the_count_of_chords_to_read(changes, seed):
+    """A store that misses fewer than _KERNEL_MIN_CHORDS chords reads exactly
+    their rows; one that misses that many takes the kernel once per policy
+    and reads no row.  Either way H is that of a fresh parse, and the list
+    it leaves is complete."""
+    parent = crossing_change(random_diagram(70, seed), 1)
+    for policy in POLICIES:
+        compute_H(parent, policy)
+    d, switched = parent, random.Random(changes + seed).sample(range(1, 71), changes)
+    for cid in switched:
+        d = crossing_change(d, cid)
+    reads, rows = [], invariant._row_cells  # the chord list of each call of _row_cells
+
+    def recorded(table, policy, chords):
+        reads.append(list(chords))
+        return rows(table, policy, reads[-1])
+
+    kernel, h = mock.Mock(wraps=invariant._histogram_cells), {}
+    with mock.patch.object(invariant, "_row_cells", recorded), \
+            mock.patch.object(invariant, "_histogram_cells", kernel):
+        for policy in POLICIES:
+            for include_n0 in (False, True):
+                h[policy, include_n0] = compute_H(d, policy, include_n0)
+            if changes < KERNEL:
+                assert reads == [sorted(switched)] and not kernel.called, policy
+            else:
+                assert reads == [] and kernel.call_count == 1, policy
+            reads.clear()
+            kernel.reset_mock()
+            assert None not in d._class_cells[policy][1:]
+    assert h == {(policy, include_n0): fresh_H(d, policy, include_n0)
+                 for policy in POLICIES for include_n0 in (False, True)}
 
 
 def test_only_crossing_change_gives_a_diagram_a_store():

@@ -1,9 +1,9 @@
 """Every imported name in the package and its tests is used, every private
 top-level name of the package is read, each builder that trusts its input
 (the unchecked ZPoly constructor, the diagram built with its chord table,
-json.loads) is called from one place, events are switched only by mirror and
-crossing_change, and the brute-force oracle imports nothing but the
-standard library."""
+json.loads) and each source of class cells is called from one place, events
+are switched only by mirror and crossing_change, and the brute-force oracle
+imports nothing but the standard library."""
 
 import ast
 import importlib
@@ -140,6 +140,24 @@ def test_a_second_caller_of_the_table_builder_fails_the_audit():
                                "    return GaussDiagram._built_with_table(d.events, d._table)\n")
     sites = builder_sites(sources, "GaussDiagram", "_built_with_table")
     assert sites != PATCHED_TABLE_SITES and ("singular.py", "_planted") in sites
+
+
+CELL_SOURCE_SITES = [("invariant.py", "_cells")]
+
+
+@pytest.mark.parametrize("source", ["_row_cells", "_histogram_cells"])
+def test_only_cells_reads_a_class_cell_source(source):
+    """_cells alone picks between the rows and the kernel, by the count of chords to read."""
+    assert builder_sites(package_sources(), None, source) == CELL_SOURCE_SITES
+
+
+@pytest.mark.parametrize("source", ["_row_cells", "_histogram_cells"])
+def test_a_second_reader_of_a_class_cell_source_fails_the_audit(source):
+    sources = package_sources()
+    sources["singular.py"] += ("\n\nfrom . import invariant\n\n\ndef _planted():\n"
+                               "    return invariant.%s\n" % source)
+    sites = builder_sites(sources, None, source)
+    assert sites != CELL_SOURCE_SITES and ("singular.py", "_planted") in sites
 
 
 SWITCHING_SITES = {("gauss.py", "crossing_change"), ("gauss.py", "mirror")}
