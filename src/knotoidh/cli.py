@@ -37,7 +37,7 @@ from .gauss import (GaussCodeError, _seeded, bundled_diagrams, crossing_change,
                     load_gko, mirror, parse_gauss_code, random_diagram,
                     random_nested_diagram, reverse, serialize)
 from .gordian import (NotHomotopyForm, crossing_change_delta, decompose,
-                      decomposition_json)
+                      decomposition_json, gordian_lower_bound)
 from .invariant import (_FORMATS, Invariant, compute_H, render, subst_t_inverse,
                         subst_z_inverse)
 from . import moves
@@ -171,7 +171,7 @@ def _gordian_bound(rng, max_chords, policy):
     seed, trace = rng.randrange(2 ** 31), []
     walked = moves.random_walk(changed, 4, seed, trace=trace)
     try:
-        bound = decompose(compute_H(d, policy) - compute_H(walked, policy)).bound
+        bound = gordian_lower_bound(d, walked, policy)
     except NotHomotopyForm:
         bound = None
     if bound is None or bound > len(changes):

@@ -26,23 +26,24 @@ include_n0 is set.  Crossing-change deltas and skein sums are signed sums of
 the same summand (t^P - 1) y^n, and Invariant.from_summands is the one place
 that turns summands into stored terms.
 
-compute_H reads the class cells ((n, phi), count) of its chords through one
-reader, _cells.  With fewer than _KERNEL_MIN_CHORDS chords to read it reads
-each one's crossing row in one pass over its span (_row_cells), from
-position columns that hold each endpoint's signed degree and sign as a
-backward chord sees them, and both negated as a forward chord does; no row
-is built first.  From there on it counts every chord's crossings per
-(n, phi) class in one bitset sweep (_histogram_cells).  Both sources take
-(table, policy), the rows also the chords to read, and hand each chord's
-class cells on sorted by (n, phi), one per class and none zero, and
-_index_polys, compute_H's one tail, turns them into Ind_c^n: a run of equal
-n is already its sorted term tuple.  from_summands
-sums the signs per (n, m, P) before it builds anything, then builds one ZPoly
-per stored term, unchecked (ZPoly._built): each P it is given is already
-canonical, a run of sorted class cells or the terms of a checked ZPoly.
-The class and reduced exponent of a crossing depend only on |d(c)|, its
-signed degree and the policy, so they are found once per process and kept,
-one plan per (|d(c)|, policy), for every later call (_plan).
+The rule for Ind_c^n is written once, in _row_classes: one pass over c's
+span, as _crossing_row walks it but with no row built first, sums each
+crossing chord's side times its sign into the chord's (n, phi) classes.
+index_polys groups those classes by n, and _row_cells hands them on as
+class cells.  compute_H reads the class cells ((n, phi), count) of its
+chords through one reader, _cells.  With fewer than _KERNEL_MIN_CHORDS
+chords to read it reads each one's row (_row_cells); from there on it
+counts every chord's crossings per (n, phi) class in one bitset sweep
+(_histogram_cells).  Both sources take (table, policy), the rows also the
+chords to read, and hand each chord's class cells on sorted by (n, phi),
+one per class and none zero, and _index_polys, compute_H's one tail, turns
+them into Ind_c^n: a run of equal n is already its sorted term tuple.
+from_summands sums the signs per (n, m, P) before it builds anything, then
+builds one ZPoly per stored term, unchecked (ZPoly._built): each P it is
+given is already canonical, a run of sorted class cells or the terms of a
+checked ZPoly.  The class and reduced exponent of a crossing depend only on
+|d(c)|, its signed degree and the policy, so they are found once per process
+and kept, one plan per (|d(c)|, policy), for every later call (_plan).
 
 A diagram that gauss.crossing_change made carries a store of class cells,
 per policy a list by chord id (its format is set out at _cells), and _cells
@@ -92,12 +93,13 @@ TermKey = namedtuple("TermKey", ["n", "m", "P"])
 # _cells takes the histogram kernel from this many chords to read on, which
 # is the chord count k on a diagram without a store.  Both sources timed
 # through the tail on random_diagram(k, 0..9), even k = 14..120, both
-# policies, best of 7 (Python 3.11, 2 CPUs), four draws: every threshold
-# from 60 to 70 came within 0.2% of the others, 1.5% to 1.7% under 40 and
-# within 2.5% of taking the faster source on each diagram.  A store that
+# policies, best of 7 (Python 3.11, 2 CPUs), five draws, the rows read
+# through _row_classes: the best threshold was 56 to 60, every threshold
+# from 40 to 64 came within 0.7% of it, 64 within 2.6% of taking the faster
+# source on each diagram, and 70 cost 0.8% to 1.3% more.  A store that
 # misses r of k chords reads r rows, or the kernel over all k.  At k = 1000
 # (random_diagram(1000, 97), Quotient, best of 9, three runs, shared host)
-# the kernel took 7.8 to 14 ms, as long as 80 to 100 rows: from 64 to 100
+# the kernel took 7.8 to 14 ms, as long as 70 to 100 rows: from 64 to 100
 # chords to read it is up to 1.5 times slower than their rows, and at 620
 # the rows took 3.7 to 7.8 times as long as the kernel.
 _KERNEL_MIN_CHORDS = 64
@@ -256,38 +258,38 @@ def _index_polys(table, chord_cells, include_n0):
             yield last, m, tuple(run), s
 
 
+def _row_classes(table, c, policy) -> dict:
+    """(n, phi) -> c's signed count in that class, read from c's crossing row.
+
+    The one place that writes Ind_c^n's rule: e in r(c) adds sgn(e) to the
+    class _plan(|d(c)|, policy)[d(e)], e in l(c) adds -sgn(e) to that of
+    -d(e).  The span is walked as in _crossing_row, with t = 1 for e in r(c)
+    and t = -1 for e in l(c), so e adds t sgn(e) at the class of t d(e).  A
+    class whose terms cancel is kept with count 0.  A crossing chord whose
+    d(e) is undefined raises TypeError.
+    """
+    over, under, sign, deg, at, mate = table
+    o, u = over[c], under[c]
+    back = o > u
+    lo, hi = (u, o) if back else (o, u)
+    plan, classes = _plan(abs(deg[c]), policy), {}
+    for p in range(lo + 1, hi):
+        if not lo < mate[p] < hi:
+            e = at[p]
+            t = 1 if (over[e] == p) == back else -1
+            key = plan[t * deg[e]]
+            classes[key] = classes.get(key, 0) + t * sign[e]
+    return classes
+
+
 def _row_cells(table, policy, chords):
     """(c, class cells of c) for each chord c in chords, read from c's crossing row.
 
-    e in r(c) adds sgn(e) to the cell of its degree D = d(e), e in l(c)
-    adds -sgn(e) to that of D = -d(e); the cell is the class
-    _plan(|d(c)|, policy)[D] = (n, phi(D)).  A backward chord (Under before
-    Over) has in r(c) the chords whose Over endpoint lies in its span, a
-    forward chord those whose Under endpoint does, as in _crossing_row.  So
-    the back columns hold, at each endpoint, (D, sign) as a backward chord
-    sees it, the fwd columns both negated, and each span is one pass over
-    one pair of columns.
+    The cells are _row_classes(table, c, policy) sorted by (n, phi), with
+    the classes whose count is 0 left out.
     """
-    over, under, sign, deg, _, mate = table
-    back_deg, back_sign, fwd_deg, fwd_sign = ([0] * len(mate) for _ in range(4))
-    for e in range(1, len(sign)):
-        o, u, D, s = over[e], under[e], deg[e], sign[e]
-        back_deg[o] = fwd_deg[u] = D
-        back_deg[u] = fwd_deg[o] = -D
-        back_sign[o] = fwd_sign[u] = s
-        back_sign[u] = fwd_sign[o] = -s
     for c in chords:
-        o, u = over[c], under[c]
-        if o > u:
-            lo, hi, degs, signs = u, o, back_deg, back_sign
-        else:
-            lo, hi, degs, signs = o, u, fwd_deg, fwd_sign
-        plan, cells = _plan(abs(deg[c]), policy), {}
-        for p in range(lo + 1, hi):
-            if not lo < mate[p] < hi:
-                key = plan[degs[p]]
-                cells[key] = cells.get(key, 0) + signs[p]
-        yield c, sorted(filter(itemgetter(1), cells.items()))
+        yield c, sorted(filter(itemgetter(1), _row_classes(table, c, policy).items()))
 
 
 def degree(d: GaussDiagram, cid: int) -> int:
@@ -310,20 +312,21 @@ def crossing_partition(d: GaussDiagram, cid: int):
 def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
     """n -> Ind_c^n(z) for each gcd class n of the chords crossing cid, n = 0 included.
 
-    One pass over cid's crossing row: e in r(c) adds sgn(e) z^phi(d(e)) to
-    its class, e in l(c) adds -sgn(e) z^phi(-d(e)), both found by _plan.  A
-    class whose terms all cancel stays, as ZPoly().
+    One read of cid's crossing row, by _row_classes, grouped by n.  A class
+    whose terms all cancel stays, as ZPoly().
     """
     _require_policy(policy)
-    plan, classes = _plan(abs(degree(d, cid)), policy), {}
-    _, _, sign, deg, _, _ = table = d._table
-    for e, in_r in _crossing_row(table, cid):
-        # degree(d, e) raises where a singular chord leaves d(e) undefined
-        D = deg[e] if deg[e] is not None else degree(d, e)
-        n, phi = plan[D if in_r else -D]
-        terms = classes.setdefault(n, {})
-        terms[phi] = terms.get(phi, 0) + (sign[e] if in_r else -sign[e])
-    return {n: ZPoly(terms) for n, terms in classes.items()}
+    degree(d, cid)  # raises for an unknown id or an undefined d(cid)
+    table, polys = d._table, {}
+    try:
+        classes = _row_classes(table, cid, policy)
+    except TypeError:  # a crossing chord's d(e) is None
+        for e, _ in _crossing_row(table, cid):
+            degree(d, e)  # raises at the first such e in position order
+        raise
+    for (n, phi), count in classes.items():
+        polys.setdefault(n, {})[phi] = count
+    return {n: ZPoly(terms) for n, terms in polys.items()}
 
 
 def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -> ZPoly:

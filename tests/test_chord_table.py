@@ -241,6 +241,18 @@ def test_histogram_and_row_paths_agree(make, sizes):
                     assert render(rows, "json") == render(histogram, "json")
 
 
+def test_the_kernel_widens_a_field_that_must_hold_128():
+    """The sweep's fields hold a count of one degree's chords in one byte up
+    to 127.  In these hubs 128 chords share one degree, so a count reaches
+    +128 and the fields must take two bytes."""
+    for seed in (0, 2):
+        d = hub_diagram(129, seed)
+        assert max(Counter(d._table.degree[1:]).values()) == 128
+        for policy in POLICIES:
+            rows, histogram = both_sources(d, policy)
+            assert rows == histogram, (seed, policy)
+
+
 def merge_rules(d):
     """The rules for merging degree cells into (n, phi) class cells that d exercises.
 
@@ -349,13 +361,15 @@ def test_criterion_10_diagram_H_is_pinned():
 def test_criterion_10_diagram_reads_no_crossing_row(monkeypatch):
     calls = []
 
-    def counted(table, cid):
-        calls.append(cid)
-        return row(table, cid)
+    def counted(read):
+        def reader(table, cid, *policy):
+            calls.append(cid)
+            return read(table, cid, *policy)
+        return reader
 
-    row = gauss._crossing_row
-    monkeypatch.setattr(gauss, "_crossing_row", counted)
-    monkeypatch.setattr(invariant, "_crossing_row", counted)
+    for module, name in ((gauss, "_crossing_row"), (invariant, "_crossing_row"),
+                         (invariant, "_row_classes")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     d = random_diagram(1000, 97)
     h = compute_H(d)
     assert not h.is_zero()
@@ -364,19 +378,19 @@ def test_criterion_10_diagram_reads_no_crossing_row(monkeypatch):
 
 def test_crossing_change_delta_reads_the_row_once(monkeypatch):
     """One chord's deltas and index polynomials read its crossing row once,
-    and never the whole-diagram row source."""
+    through the one row reader, and never the whole-diagram row source."""
     calls, sources = [], []
 
-    def counted(table, cid):
+    def counted(table, cid, policy):
         calls.append(cid)
-        return row(table, cid)
+        return row(table, cid, policy)
 
     def whole_diagram(*args):
         sources.append(args)
         return cells(*args)
 
-    row, cells = gauss._crossing_row, invariant._row_cells
-    monkeypatch.setattr(invariant, "_crossing_row", counted)
+    row, cells = invariant._row_classes, invariant._row_cells
+    monkeypatch.setattr(invariant, "_row_classes", counted)
     monkeypatch.setattr(invariant, "_row_cells", whole_diagram)
     d, policy = random_diagram(400, 3), ReductionPolicy.QUOTIENT
     assert not crossing_change_delta(d, 5).is_zero()

@@ -1,17 +1,16 @@
 """Exit codes and output shapes of the command line entry point."""
 
 import argparse
-import dataclasses
 import json
 from importlib import resources
 
 import pytest
 
-from knotoidh import cli
+from knotoidh import cli, gordian
 from knotoidh.cli import main, run_selftest
 from knotoidh.gauss import (crossing_change, mirror, parse_gauss_code,
                             random_diagram, serialize)
-from knotoidh.gordian import NotHomotopyForm, decompose
+from knotoidh.gordian import NotHomotopyForm, gordian_lower_bound
 from knotoidh.invariant import _FORMATS, Invariant, compute_H
 from knotoidh.moves import apply_move, parse_trace, random_walk
 from knotoidh.singular import resolutions
@@ -252,11 +251,9 @@ def _first_resolution_H(d, policy):
     return compute_H(d, policy)
 
 
-def _double_count(delta):
-    """decompose counting 2|a| for each pair."""
-    dec = decompose(delta)
-    return dataclasses.replace(dec, bound=2 * dec.bound,
-                               bound_per_n={n: 2 * b for n, b in dec.bound_per_n.items()})
+def _double_count(d1, d2, policy):
+    """gordian_lower_bound counting 2|a| for each pair."""
+    return 2 * gordian_lower_bound(d1, d2, policy)
 
 
 # One planted fault per row: each breaks exactly that row's guarantee.
@@ -272,7 +269,7 @@ PLANTED = [
     ("crossing_change_delta", "crossing_change_delta",
      lambda d, cid, policy: Invariant(policy)),
     ("nested_zero_height", "random_nested_diagram", random_diagram),
-    ("gordian_bound", "decompose", _double_count),
+    ("gordian_bound", "gordian_lower_bound", _double_count),
 ]
 
 
@@ -290,7 +287,7 @@ def test_planted_fault_fails_its_row(monkeypatch, name, binding, fault):
 def test_gordian_bound_row_fails_and_replays_when_decompose_raises(monkeypatch):
     def no_pairing(delta):
         raise NotHomotopyForm("planted")
-    monkeypatch.setattr(cli, "decompose", no_pairing)
+    monkeypatch.setattr(gordian, "decompose", no_pairing)  # as gordian_lower_bound reads it
     report = run_selftest(3, 6, 0)
     rows = {(p["name"], p["policy"]): p for p in report["properties"]}
     row = rows["gordian_bound", "quotient"]

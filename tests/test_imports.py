@@ -1,9 +1,10 @@
 """Every imported name in the package and its tests is used, every private
 top-level name of the package is read, each builder that trusts its input
 (the unchecked ZPoly constructor, the diagram built with its chord table,
-json.loads) and each source of class cells is called from one place, events
-are switched only by mirror and crossing_change, and the brute-force oracle
-imports nothing but the standard library."""
+json.loads), each source of class cells and the one reader of a chord's
+crossing row are called from their own places, events are switched only by
+mirror and crossing_change, and the brute-force oracle imports nothing but
+the standard library."""
 
 import ast
 import importlib
@@ -158,6 +159,22 @@ def test_a_second_reader_of_a_class_cell_source_fails_the_audit(source):
                                "    return invariant.%s\n" % source)
     sites = builder_sites(sources, None, source)
     assert sites != CELL_SOURCE_SITES and ("singular.py", "_planted") in sites
+
+
+ROW_READER_SITES = [("invariant.py", "_row_cells"), ("invariant.py", "index_polys")]
+
+
+def test_only_row_cells_and_index_polys_read_a_chord_s_row_classes():
+    """_row_classes writes Ind_c^n's rule once; both per-chord readers go through it."""
+    assert builder_sites(package_sources(), None, "_row_classes") == ROW_READER_SITES
+
+
+def test_a_second_reader_of_the_row_classes_fails_the_audit():
+    sources = package_sources()
+    sources["gordian.py"] += ("\n\nfrom .invariant import _row_classes\n\n\n"
+                              "def _planted(d, c, p):\n    return _row_classes(d._table, c, p)\n")
+    sites = builder_sites(sources, None, "_row_classes")
+    assert sites != ROW_READER_SITES and ("gordian.py", "_planted") in sites
 
 
 SWITCHING_SITES = {("gauss.py", "crossing_change"), ("gauss.py", "mirror")}

@@ -279,6 +279,14 @@ def test_addition_laws(k1, seed1, k2, seed2, policy):
     assert (a + (-a)).is_zero()
 
 
+def test_an_invariant_is_zero_only_without_terms_and_constants():
+    """Each half alone keeps an invariant built by hand from being zero."""
+    z = ZPoly.monomial(1, 1)
+    assert Invariant(QUOT).is_zero()
+    assert not Invariant(QUOT, const_terms={1: -2}).is_zero()
+    assert not Invariant(QUOT, exp_terms={TermKey(1, 3, z): 1}).is_zero()
+
+
 def test_from_summands_stores_m_only_for_nonconstant_exponents():
     z, z2, two = ZPoly.monomial(1, 1), ZPoly.monomial(1, 2), ZPoly.const(2)
     h = Invariant.from_summands(QUOT, [(1, 3, two.terms, 1), (1, 3, z.terms, -2),

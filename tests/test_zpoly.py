@@ -114,6 +114,7 @@ def test_constructors():
     assert ZPoly.monomial(2, -1).terms == ((-1, 2),)
     assert ZPoly.const(4).is_constant()
     assert ZPoly.const(4).constant_value() == 4
+    assert ZPoly().constant_value() == 0 and ZPoly.const(0).constant_value() == 0
     assert not ZPoly.monomial(1, 1).is_constant()
 
 
