@@ -31,8 +31,8 @@ events by construction and go through `GaussDiagram._built`, which does not
 check again; the tests check their output instead.  Every diagram builds
 its chord table (`_table`) from its events on first use, except one from
 `crossing_change`: that hands its result d's table with the switched chord
-patched in, and d's store of class cells with the switched chord's left
-to be read again, through `GaussDiagram._built_with_table`, its one caller.
+patched in, an empty store of H values and a link to d's store, through
+`GaussDiagram._built_with_table`, its one caller.
 
 Four gates hold the package's input rules, each written once and raising
 the error its caller names: `_text` (a reader got a str), `_tuple` (an
@@ -189,22 +189,24 @@ class GaussDiagram:
         object.__setattr__(d, "events", events)
         return d
 
-    # The store of class cells: None except on a diagram that crossing_change
-    # made; its format is set out at invariant._cells, its one reader.
-    _class_cells = None
+    # The store of H values and the link to the parent's store: None except
+    # on a diagram that crossing_change made; invariant.compute_H reads both.
+    _H_store = _H_link = None
 
     @classmethod
-    def _built_with_table(cls, events: tuple, table: _ChordTable,
-                          class_cells: dict) -> GaussDiagram:
+    def _built_with_table(cls, events: tuple, table: _ChordTable, link: tuple) -> GaussDiagram:
         """_built(events) with its chord table already made; table must be
         exactly what _table would build from events.
 
-        class_cells is the diagram's store of class cells, in the format
-        set out at invariant._cells, which reads it and fills it.
+        The diagram gets an empty store of H values, a dict from (policy,
+        include_n0) that compute_H fills, and link, a pair (store, c): the
+        store of the diagram it was switched from (None if that has none)
+        and the switched chord c.
         """
         d = cls._built(events)
         object.__setattr__(d, "_table", table)  # fills the cached_property
-        object.__setattr__(d, "_class_cells", class_cells)
+        object.__setattr__(d, "_H_store", {})
+        object.__setattr__(d, "_H_link", link)
         return d
 
     @property
@@ -386,14 +388,10 @@ def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
     W and every other degree stay, and d(c) changes sign (an undefined d(c)
     stays undefined).  at and mate are shared.
 
-    The result also gets d's store of class cells (its format is set out at
-    invariant._cells), each list copied with c's entry None, to be read
-    again.  Every other chord keeps its cells: for a chord e crossing c,
-    the switch moves c between r(e) and l(e) and negates sgn(c) and d(c),
-    so c still adds sgn(c) at degree d(c) (from r(e), sgn(c) at d(c); from
-    l(e), -(-sgn(c)) at -(-d(c))), and d(e), hence e's modulus, stays.  A
-    chord that does not cross c does not see it.  The result holds d's cell
-    lists, never d itself; a d without a store hands on an empty one.
+    The result also gets an empty store of H values and a link to d's
+    store with c, so that compute_H can find its H as d's plus the switch's
+    delta (see invariant.index_polys for why the delta is c's alone).  It
+    holds d's store, never d itself.
     """
     if d.chord(cid).sign == SINGULAR:
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)
@@ -404,13 +402,9 @@ def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
     over, under, sign, degree = over[:], under[:], sign[:], degree[:]
     over[cid], under[cid], sign[cid] = u, o, -sign[cid]
     degree[cid] = degree[cid] and -degree[cid]  # None stays None
-    class_cells = {}
-    for policy, cells in (d._class_cells or {}).items():
-        cells = class_cells[policy] = cells[:]
-        cells[cid] = None
     return GaussDiagram._built_with_table(tuple(events),
                                           _ChordTable(over, under, sign, degree, at, mate),
-                                          class_cells)
+                                          (d._H_store, cid))
 
 
 def _seeded(seed, error=ValueError, **counts) -> random.Random:

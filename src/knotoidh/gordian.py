@@ -10,7 +10,9 @@ a difference in that shape or proves it impossible, and the per-stratum
 coefficient sums bound the Gordian distance from below.
 
 _pair_sum is the one sum of a (t^P + t^{partner(P)} - 2) y^n over pairs
-(n, m, P, a): crossing_change_delta and reconstruct both call it.
+(n, m, P, a): crossing_change_delta and reconstruct both call it.  Its
+summands come from invariant._pair_summands, which compute_H also reads to
+add a crossing change's delta.
 decompose walks the difference once, through invariant._strata, the
 order render prints it in: strata ascending in n, terms by (m, P).  Each
 stratum gets one ledger of its unpaired terms; a term leaves it when it
@@ -24,8 +26,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram
-from .invariant import Invariant, _strata, compute_H, degree, index_polys
-from .zpoly import ReductionPolicy, reduce_poly
+from .invariant import (Invariant, _pair_summands, _partner, _strata, compute_H, degree,
+                        index_polys)
+from .zpoly import ReductionPolicy
 
 __all__ = [
     "NotHomotopyForm",
@@ -55,14 +58,9 @@ class GordianDecomposition:
     bound: int
 
 
-def _partner(P, m, policy):
-    return reduce_poly(-P.subst_z_inverse(), m, policy)
-
-
 def _pair_sum(policy, pairs) -> Invariant:
     """Sum of a (t^P + t^{partner(P)} - 2) y^n over pairs (n, m, P, a)."""
-    return Invariant.from_summands(policy, (
-        (n, m, Q.terms, a) for n, m, P, a in pairs for Q in (P, _partner(P, m, policy))))
+    return Invariant.from_summands(policy, _pair_summands(policy, pairs))
 
 
 def crossing_change_delta(d: GaussDiagram, cid: int,

@@ -24,20 +24,22 @@ stored sparsely as coefficients on t-exponent polynomials plus a constant
 per y-stratum.  Pairs with gcd 0 (both degrees zero) are skipped unless
 include_n0 is set.  Crossing-change deltas and skein sums are signed sums of
 the same summand (t^P - 1) y^n, and Invariant.from_summands is the one place
-that turns summands into stored terms.
+that turns summands into stored terms.  A switch of c adds the pair
+sgn(c) (t^P + t^{partner(P)} - 2) y^n per class n of c, P = Ind_c^n after the
+switch; _pair_summands is the one place that writes that pair.
 
 The rule for Ind_c^n is written once, in _row_classes: one pass over c's
 span, as _crossing_row walks it but with no row built first, sums each
 crossing chord's side times its sign into the chord's (n, phi) classes.
 index_polys groups those classes by n, and _row_cells hands them on as
 class cells.  compute_H reads the class cells ((n, phi), count) of its
-chords through one reader, _cells.  With fewer than _KERNEL_MIN_CHORDS
-chords to read it reads each one's row (_row_cells); from there on it
-counts every chord's crossings per (n, phi) class in one bitset sweep
-(_histogram_cells).  Both sources take (table, policy), the rows also the
-chords to read, and hand each chord's class cells on sorted by (n, phi),
-one per class and none zero, and _index_polys, compute_H's one tail, turns
-them into Ind_c^n: a run of equal n is already its sorted term tuple.
+chords through one reader, _cells.  Below _KERNEL_MIN_CHORDS chords it
+reads each one's row (_row_cells); from there on it counts every chord's
+crossings per (n, phi) class in one bitset sweep (_histogram_cells).  Both
+sources take (table, policy) and hand each chord's class cells on sorted by
+(n, phi), one per class and none zero, and _index_polys, compute_H's one
+tail, turns them into Ind_c^n: a run of equal n is already its sorted term
+tuple.
 from_summands sums the signs per (n, m, P) before it builds anything, then
 builds one ZPoly per stored term, unchecked (ZPoly._built): each P it is
 given is already canonical, a run of sorted class cells or the terms of a
@@ -45,13 +47,13 @@ checked ZPoly.  The class and reduced exponent of a crossing depend only on
 |d(c)|, its signed degree and the policy, so they are found once per process
 and kept, one plan per (|d(c)|, policy), for every later call (_plan).
 
-A diagram that gauss.crossing_change made carries a store of class cells,
-per policy a list by chord id (its format is set out at _cells), and _cells
-reads only the chords that list leaves as None, so a store counts as many
-chords to read as it is missing.  A crossing change keeps every other
-chord's cells (see crossing_change), so a skein sum's Gray walk reads one
-crossing row per step.  Every other diagram has no store, and compute_H
-streams its cells.
+A diagram that gauss.crossing_change made carries a store of H values,
+keyed by (policy, include_n0), and a link to the store of the diagram it
+was switched from.  compute_H fills the store, and when the parent's store
+holds H for the key, the child's H is that H plus the switch's delta, read
+from the switched chord's row alone (see index_polys for why), so each
+step of a skein sum's Gray walk reads one crossing row.  Every other
+diagram has no store, and compute_H reads all its cells.
 """
 
 from __future__ import annotations
@@ -90,18 +92,12 @@ __all__ = [
 # (y-exponent, modulus, exponent polynomial); m is 0 whenever P is constant.
 TermKey = namedtuple("TermKey", ["n", "m", "P"])
 
-# _cells takes the histogram kernel from this many chords to read on, which
-# is the chord count k on a diagram without a store.  Both sources timed
+# _cells takes the histogram kernel from this many chords on.  Both sources timed
 # through the tail on random_diagram(k, 0..9), even k = 14..120, both
 # policies, best of 7 (Python 3.11, 2 CPUs), five draws, the rows read
 # through _row_classes: the best threshold was 56 to 60, every threshold
 # from 40 to 64 came within 0.7% of it, 64 within 2.6% of taking the faster
-# source on each diagram, and 70 cost 0.8% to 1.3% more.  A store that
-# misses r of k chords reads r rows, or the kernel over all k.  At k = 1000
-# (random_diagram(1000, 97), Quotient, best of 9, three runs, shared host)
-# the kernel took 7.8 to 14 ms, as long as 70 to 100 rows: from 64 to 100
-# chords to read it is up to 1.5 times slower than their rows, and at 620
-# the rows took 3.7 to 7.8 times as long as the kernel.
+# source on each diagram, and 70 cost 0.8% to 1.3% more.
 _KERNEL_MIN_CHORDS = 64
 
 # Bytes of a signed bitset field -> its array typecode; see _histogram_cells.
@@ -149,15 +145,26 @@ class Invariant:
 
     @classmethod
     def signed_sum(cls, policy, items):
-        """Sum of s * h over items (s, h), every h under the policy, in one pass."""
-        exp, const = {}, {}
-        for s, h in items:
+        """Sum of s * h over items (s, h), every h under the policy, in one pass.
+
+        A first h of sign +1 is taken as copies of its dicts, which hashes
+        none of its keys again; every later h adds its terms key by key, and
+        a key is dropped where its sum comes to 0.
+        """
+        total = cls(policy)
+        for i, (s, h) in enumerate(items):
             _check_policy(policy, h)
-            for key, c in h.exp_terms.items():
-                exp[key] = exp.get(key, 0) + s * c
-            for n, c in h.const_terms.items():
-                const[n] = const.get(n, 0) + s * c
-        return cls(policy, exp, const)
+            for terms, add in ((total.exp_terms, h.exp_terms), (total.const_terms, h.const_terms)):
+                if i == 0 and s == 1:
+                    terms.update(add)
+                else:
+                    for key, c in add.items():
+                        c = terms.get(key, 0) + s * c
+                        if c:
+                            terms[key] = c
+                        else:
+                            terms.pop(key, None)
+        return total
 
     def is_zero(self) -> bool:
         return not self.exp_terms and not self.const_terms
@@ -282,13 +289,13 @@ def _row_classes(table, c, policy) -> dict:
     return classes
 
 
-def _row_cells(table, policy, chords):
-    """(c, class cells of c) for each chord c in chords, read from c's crossing row.
+def _row_cells(table, policy):
+    """(c, class cells of c) for every chord c, read from c's crossing row.
 
     The cells are _row_classes(table, c, policy) sorted by (n, phi), with
     the classes whose count is 0 left out.
     """
-    for c in chords:
+    for c in range(1, len(table.sign)):
         yield c, sorted(filter(itemgetter(1), _row_classes(table, c, policy).items()))
 
 
@@ -314,6 +321,14 @@ def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
 
     One read of cid's crossing row, by _row_classes, grouped by n.  A class
     whose terms all cancel stays, as ZPoly().
+
+    A crossing change at c changes no other chord's Ind_e^n: for a chord e
+    crossing c, the switch moves c between r(e) and l(e) and negates sgn(c)
+    and d(c), so c still adds sgn(c) at degree d(c) (from r(e), sgn(c) at
+    d(c); from l(e), -(-sgn(c)) at -(-d(c))), and d(e), hence e's modulus,
+    stays.  A chord that does not cross c does not see it.  c's own classes
+    keep their n, and the switch takes each Ind_c^n to its partner, since it
+    swaps r(c) and l(c).  So H changes by c's pairs alone (_pair_summands).
     """
     _require_policy(policy)
     degree(d, cid)  # raises for an unknown id or an undefined d(cid)
@@ -327,6 +342,19 @@ def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
     for (n, phi), count in classes.items():
         polys.setdefault(n, {})[phi] = count
     return {n: ZPoly(terms) for n, terms in polys.items()}
+
+
+def _partner(P: ZPoly, m: int, policy) -> ZPoly:
+    """partner(P) = -P(z^-1), reduced mod m: Ind_c^n after a switch of c, if P is before it."""
+    return reduce_poly(-P.subst_z_inverse(), m, policy)
+
+
+def _pair_summands(policy, pairs):
+    """The summands of a (t^P + t^{partner(P)} - 2) y^n for each pair (n, m, P, a),
+    as from_summands takes them: (n, m, P.terms, a) and (n, m, partner(P).terms, a)."""
+    for n, m, P, a in pairs:
+        yield n, m, P.terms, a
+        yield n, m, _partner(P, m, policy).terms, a
 
 
 def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -> ZPoly:
@@ -434,51 +462,41 @@ def _histogram_cells(table, policy):
             yield c, compress(zip(keys, row), row)
 
 
-def _cells(d: GaussDiagram, policy):
-    """(c, class cells of c) for every chord c of d, read from a source or kept.
-
-    The store of class cells, d._class_cells, is None on every diagram but
-    one that gauss.crossing_change made.  There it is a dict from policy to
-    a list indexed by chord id, [None, cells of chord 1, ..., cells of
-    chord k]: an entry is the chord's class cells ((n, phi), count) as a
-    list, as the sources give them, or None for a chord whose cells are
-    still to be read.  Each diagram owns its dict and its outer lists, the
-    cell lists are shared between diagrams, and no list is changed once it
-    is stored.
-
-    The chords to read are every chord without a store, and otherwise the
-    None entries of the policy's list, a policy with no list yet starting
-    from one all None.  Fewer than _KERNEL_MIN_CHORDS of them are read from
-    their rows; from there on the histogram kernel reads all k.  Without a
-    store the cells stream; a store keeps them in a new list that holds
-    what was read as new lists, and a complete list reads nothing.
-    """
-    table, store = d._table, d._class_cells
-    kept = (store or {}).get(policy, [None] * len(table.sign))
-    read = [c for c in range(1, len(kept)) if kept[c] is None]
-    if read:
-        if len(read) < _KERNEL_MIN_CHORDS:
-            cells = _row_cells(table, policy, read)
-        else:
-            cells = _histogram_cells(table, policy)
-        if store is None:
-            return cells
-        kept = store[policy] = kept[:]
-        for c, row in cells:
-            kept[c] = list(row)
-    return enumerate(kept[1:], 1)
+def _cells(table, policy):
+    """(c, class cells of c) for every chord c: from the rows below
+    _KERNEL_MIN_CHORDS chords, from the histogram kernel from there on."""
+    if len(table.sign) - 1 < _KERNEL_MIN_CHORDS:
+        return _row_cells(table, policy)
+    return _histogram_cells(table, policy)
 
 
 def compute_H(d: GaussDiagram,
               policy: ReductionPolicy = ReductionPolicy.QUOTIENT,
               include_n0: bool = False) -> Invariant:
-    """Evaluate H over all chords and all gcd classes of the diagram."""
+    """Evaluate H over all chords and all gcd classes of the diagram.
+
+    A diagram that crossing_change made stores its H per (policy,
+    include_n0).  When the diagram it was switched from has H stored for
+    the key, H is that H plus the switch's delta: the pairs of the switched
+    chord c, read from c's row (index_polys), class 0 only under include_n0.
+    Every other call reads all the cells.
+    """
     _require_policy(policy)
     if type(include_n0) is not bool:
         raise TypeError("include_n0 must be a bool, not %s" % type(include_n0).__name__)
     if d.singular_ids():
         raise GaussCodeError("diagram has singular chords; resolve them first")
-    return Invariant.from_summands(policy, _index_polys(d._table, _cells(d, policy), include_n0))
+    table, key = d._table, (policy, include_n0)
+    parent, c = d._H_link or (None, 0)
+    if key in (parent or {}):
+        pairs = ((n, abs(table.degree[c]), P, table.sign[c])
+                 for n, P in index_polys(d, c, policy).items() if n or include_n0)
+        h = parent[key] + Invariant.from_summands(policy, _pair_summands(policy, pairs))
+    else:
+        h = Invariant.from_summands(policy, _index_polys(table, _cells(table, policy), include_n0))
+    if d._H_store is not None:
+        d._H_store[key] = h
+    return h
 
 
 def _map_exponents(inv: Invariant, f) -> Invariant:

