@@ -390,7 +390,7 @@ def crossing_change(d: GaussDiagram, cid: int) -> GaussDiagram:
 
     The result also gets an empty store of H values and a link to d's
     store with c, so that compute_H can find its H as d's plus the switch's
-    delta (see invariant.index_polys for why the delta is c's alone).  It
+    delta (see invariant._switch_delta for why the delta is c's alone).  It
     holds d's store, never d itself.
     """
     if d.chord(cid).sign == SINGULAR:

@@ -9,10 +9,11 @@ homotopic knotoids is therefore a sum of such deltas; decompose() writes
 a difference in that shape or proves it impossible, and the per-stratum
 coefficient sums bound the Gordian distance from below.
 
-_pair_sum is the one sum of a (t^P + t^{partner(P)} - 2) y^n over pairs
-(n, m, P, a): crossing_change_delta and reconstruct both call it.  Its
-summands come from invariant._pair_summands, which compute_H also reads to
-add a crossing change's delta.
+invariant._pair_sum is the one sum of a (t^P + t^{partner(P)} - 2) y^n
+over pairs (n, m, terms of P, a), and reconstruct calls it.
+crossing_change_delta reads a chord's pairs off its row through
+invariant._switch_delta, which compute_H also calls to add a crossing
+change's delta to a stored H.
 decompose walks the difference once, through invariant._strata, the
 order render prints it in: strata ascending in n, terms by (m, P).  Each
 stratum gets one ledger of its unpaired terms; a term leaves it when it
@@ -26,9 +27,9 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 from .gauss import SINGULAR, GaussCodeError, GaussDiagram
-from .invariant import (Invariant, _pair_summands, _partner, _strata, compute_H, degree,
-                        index_polys)
-from .zpoly import ReductionPolicy
+from .invariant import (Invariant, _check_row, _pair_sum, _partner, _strata, _switch_delta,
+                        compute_H)
+from .zpoly import ReductionPolicy, ZPoly
 
 __all__ = [
     "NotHomotopyForm",
@@ -58,19 +59,13 @@ class GordianDecomposition:
     bound: int
 
 
-def _pair_sum(policy, pairs) -> Invariant:
-    """Sum of a (t^P + t^{partner(P)} - 2) y^n over pairs (n, m, P, a)."""
-    return Invariant.from_summands(policy, _pair_summands(policy, pairs))
-
-
 def crossing_change_delta(d: GaussDiagram, cid: int,
                           policy: ReductionPolicy = ReductionPolicy.QUOTIENT) -> Invariant:
-    """Predicted H(d) - H(crossing_change(d, cid)), no recomputation."""
-    eps = d.chord(cid).sign
-    if eps == SINGULAR:
+    """Predicted H(d) - H(crossing_change(d, cid)), read from cid's row alone."""
+    if d.chord(cid).sign == SINGULAR:
         raise GaussCodeError("chord %d is singular; resolve it first" % cid)
-    m = abs(degree(d, cid))
-    return _pair_sum(policy, ((n, m, P, eps) for n, P in index_polys(d, cid, policy).items() if n))
+    _check_row(d, cid, policy)
+    return _switch_delta(d._table, cid, policy, False)
 
 
 def decompose(delta: Invariant) -> GordianDecomposition:
@@ -90,7 +85,7 @@ def decompose(delta: Invariant) -> GordianDecomposition:
             if ledger.pop(key, None) is None:  # already taken as a partner
                 continue
             _, m, P = key
-            Q = _partner(P, m, delta.policy)
+            Q = ZPoly(_partner(P.terms, m, delta.policy))
             if Q == P:
                 if a % 2:
                     raise NotHomotopyForm(
@@ -117,7 +112,7 @@ def decompose(delta: Invariant) -> GordianDecomposition:
 
 def reconstruct(dec: GordianDecomposition) -> Invariant:
     """Invariant equal to the decomposed difference, bit for bit."""
-    return _pair_sum(dec.policy, dec.pairs)
+    return _pair_sum(dec.policy, ((n, m, P.terms, a) for n, m, P, a in dec.pairs))
 
 
 def gordian_lower_bound(d1: GaussDiagram, d2: GaussDiagram,

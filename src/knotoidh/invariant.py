@@ -7,9 +7,9 @@ W(p) the sum over positions 1..p of +sgn(e) at each Over endpoint and
 cancel, so prefix sums give every degree in O(k).  d(c) is undefined exactly
 when a singular chord crosses c.  The chords crossing c form its crossing
 row, read from the events strictly inside c's span (e crosses c when
-exactly one endpoint of e lies there); the partitions, the index
-polynomials and deltas of one chord (index_polys, in one pass) and the
-singular rule read that row.  The crossing chords split further by
+exactly one endpoint of e lies there); the partitions, one chord's index
+polynomials (index_polys), the crossing-change delta (_switch_delta) and
+the singular rule read that row.  The crossing chords split further by
 n = gcd(|d(c)|, |d(e)|), and each class contributes an index polynomial
 
     Ind_c^n(z) = sum_{e in r^n} sgn(e) z^{phi(d(e))}
@@ -24,16 +24,18 @@ stored sparsely as coefficients on t-exponent polynomials plus a constant
 per y-stratum.  Pairs with gcd 0 (both degrees zero) are skipped unless
 include_n0 is set.  Crossing-change deltas and skein sums are signed sums of
 the same summand (t^P - 1) y^n, and Invariant.from_summands is the one place
-that turns summands into stored terms.  A switch of c adds the pair
-sgn(c) (t^P + t^{partner(P)} - 2) y^n per class n of c, P = Ind_c^n after the
-switch; _pair_summands is the one place that writes that pair.
+that turns summands into stored terms.  Switching c takes H(d) to H(d) minus
+sgn(c) (t^P + t^{partner(P)} - 2) y^n per class n of c, with sgn(c) and
+P = Ind_c^n read in d.  _pair_sum is the one sum of such pairs, and
+_switch_delta the one place that reads them off c's row: compute_H and
+gordian.crossing_change_delta both call it.
 
 The rule for Ind_c^n is written once, in _row_classes: one pass over c's
 span, as _crossing_row walks it but with no row built first, sums each
 crossing chord's side times its sign into the chord's (n, phi) classes.
-index_polys groups those classes by n, and _row_cells hands them on as
-class cells.  compute_H reads the class cells ((n, phi), count) of its
-chords through one reader, _cells.  Below _KERNEL_MIN_CHORDS chords it
+index_polys groups those classes by n; _row_cells and _switch_delta hand
+them on as class cells.  compute_H reads the class cells ((n, phi), count)
+of its chords through one reader, _cells.  Below _KERNEL_MIN_CHORDS chords it
 reads each one's row (_row_cells); from there on it counts every chord's
 crossings per (n, phi) class in one bitset sweep (_histogram_cells).  Both
 sources take (table, policy) and hand each chord's class cells on sorted by
@@ -42,17 +44,18 @@ tail, turns them into Ind_c^n: a run of equal n is already its sorted term
 tuple.
 from_summands sums the signs per (n, m, P) before it builds anything, then
 builds one ZPoly per stored term, unchecked (ZPoly._built): each P it is
-given is already canonical, a run of sorted class cells or the terms of a
-checked ZPoly.  The class and reduced exponent of a crossing depend only on
-|d(c)|, its signed degree and the policy, so they are found once per process
-and kept, one plan per (|d(c)|, policy), for every later call (_plan).
+given is already canonical, a run of sorted class cells, the terms of a
+checked ZPoly, or the partner of either (_partner).  The class and reduced
+exponent of a crossing depend only on |d(c)|, its signed degree and the
+policy, so they are found once per process and kept, one plan per
+(|d(c)|, policy), for every later call (_plan).
 
 A diagram that gauss.crossing_change made carries a store of H values,
 keyed by (policy, include_n0), and a link to the store of the diagram it
 was switched from.  compute_H fills the store, and when the parent's store
 holds H for the key, the child's H is that H plus the switch's delta, read
-from the switched chord's row alone (see index_polys for why), so each
-step of a skein sum's Gray walk reads one crossing row.  Every other
+from the switched chord's row alone (_switch_delta, which says why), so
+each step of a skein sum's Gray walk reads one crossing row.  Every other
 diagram has no store, and compute_H reads all its cells.
 """
 
@@ -316,45 +319,67 @@ def crossing_partition(d: GaussDiagram, cid: int):
     return tuple(e for e, in_r in row if in_r), tuple(e for e, in_r in row if not in_r)
 
 
+def _check_row(d: GaussDiagram, cid: int, policy) -> None:
+    """The gate before cid's row is read under the policy: a policy that is not
+    a ReductionPolicy raises TypeError before _plan's cache sees it, then an
+    unknown cid, an undefined d(cid), or else the first chord crossing cid, in
+    position order, whose degree is undefined raises GaussCodeError."""
+    _require_policy(policy)
+    degree(d, cid)
+    if SINGULAR in d._table.sign:  # only a singular chord leaves a degree undefined
+        for e, _ in _crossing_row(d._table, cid):
+            degree(d, e)
+
+
 def index_polys(d: GaussDiagram, cid: int, policy: ReductionPolicy) -> dict:
     """n -> Ind_c^n(z) for each gcd class n of the chords crossing cid, n = 0 included.
 
     One read of cid's crossing row, by _row_classes, grouped by n.  A class
     whose terms all cancel stays, as ZPoly().
+    """
+    _check_row(d, cid, policy)
+    polys = {}
+    for (n, phi), count in _row_classes(d._table, cid, policy).items():
+        polys.setdefault(n, {})[phi] = count
+    return {n: ZPoly(terms) for n, terms in polys.items()}
+
+
+def _partner(terms: tuple, m: int, policy) -> tuple:
+    """partner(P) = -P(z^-1), reduced mod m, on P's terms: Ind_c^n after a switch
+    of c, if P is before it.
+
+    P must already be reduced mod m under the policy.  Then negation maps
+    the reduced exponents one to one onto themselves (Quotient's 0..m-1,
+    Literal's range with both ends of a tie at +-m/2, and every exponent
+    when m = 0), so no two terms merge and the result is canonical.
+    """
+    return tuple(sorted((reduce_exponent(-e, m, policy), -c) for e, c in terms))
+
+
+def _pair_sum(policy, pairs) -> Invariant:
+    """Sum of a (t^P + t^{partner(P)} - 2) y^n over pairs (n, m, terms of P, a),
+    each P reduced mod m."""
+    summands = []
+    for n, m, P, a in pairs:
+        summands += (n, m, P, a), (n, m, _partner(P, m, policy), a)
+    return Invariant.from_summands(policy, summands)
+
+
+def _switch_delta(table, c, policy, include_n0) -> Invariant:
+    """H(d) - H(crossing_change(d, c)) for the diagram d of the table, read from
+    c's row alone: c's pairs, one per class n of c, class 0 only under include_n0.
 
     A crossing change at c changes no other chord's Ind_e^n: for a chord e
     crossing c, the switch moves c between r(e) and l(e) and negates sgn(c)
     and d(c), so c still adds sgn(c) at degree d(c) (from r(e), sgn(c) at
     d(c); from l(e), -(-sgn(c)) at -(-d(c))), and d(e), hence e's modulus,
     stays.  A chord that does not cross c does not see it.  c's own classes
-    keep their n, and the switch takes each Ind_c^n to its partner, since it
-    swaps r(c) and l(c).  So H changes by c's pairs alone (_pair_summands).
+    keep their n, and the switch takes each Ind_c^n to its partner and
+    negates sgn(c), since it swaps r(c) and l(c).  So H changes by c's pairs
+    alone.  Every degree in c's row must be defined.
     """
-    _require_policy(policy)
-    degree(d, cid)  # raises for an unknown id or an undefined d(cid)
-    table, polys = d._table, {}
-    try:
-        classes = _row_classes(table, cid, policy)
-    except TypeError:  # a crossing chord's d(e) is None
-        for e, _ in _crossing_row(table, cid):
-            degree(d, e)  # raises at the first such e in position order
-        raise
-    for (n, phi), count in classes.items():
-        polys.setdefault(n, {})[phi] = count
-    return {n: ZPoly(terms) for n, terms in polys.items()}
-
-
-def _partner(P: ZPoly, m: int, policy) -> ZPoly:
-    """partner(P) = -P(z^-1), reduced mod m: Ind_c^n after a switch of c, if P is before it."""
-    return reduce_poly(-P.subst_z_inverse(), m, policy)
-
-
-def _pair_summands(policy, pairs):
-    """The summands of a (t^P + t^{partner(P)} - 2) y^n for each pair (n, m, P, a),
-    as from_summands takes them: (n, m, P.terms, a) and (n, m, partner(P).terms, a)."""
-    for n, m, P, a in pairs:
-        yield n, m, P.terms, a
-        yield n, m, _partner(P, m, policy).terms, a
+    cells = sorted(filter(itemgetter(1), _row_classes(table, c, policy).items()))
+    return _pair_sum(policy, _index_polys(table, [(c, cells)], include_n0))
 
 
 def index_function(d: GaussDiagram, cid: int, n: int, policy: ReductionPolicy) -> ZPoly:
@@ -477,9 +502,8 @@ def compute_H(d: GaussDiagram,
 
     A diagram that crossing_change made stores its H per (policy,
     include_n0).  When the diagram it was switched from has H stored for
-    the key, H is that H plus the switch's delta: the pairs of the switched
-    chord c, read from c's row (index_polys), class 0 only under include_n0.
-    Every other call reads all the cells.
+    the key, H is that H plus the switch's delta (_switch_delta), read from
+    the switched chord's row alone.  Every other call reads all the cells.
     """
     _require_policy(policy)
     if type(include_n0) is not bool:
@@ -489,9 +513,7 @@ def compute_H(d: GaussDiagram,
     table, key = d._table, (policy, include_n0)
     parent, c = d._H_link or (None, 0)
     if key in (parent or {}):
-        pairs = ((n, abs(table.degree[c]), P, table.sign[c])
-                 for n, P in index_polys(d, c, policy).items() if n or include_n0)
-        h = parent[key] + Invariant.from_summands(policy, _pair_summands(policy, pairs))
+        h = parent[key] + _switch_delta(table, c, policy, include_n0)
     else:
         h = Invariant.from_summands(policy, _index_polys(table, _cells(table, policy), include_n0))
     if d._H_store is not None:

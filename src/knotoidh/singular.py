@@ -65,9 +65,9 @@ def singular_H(d: GaussDiagram,
     values of the resolution before, so each compute_H after the second is
     that H plus the switched chord's delta, read from one crossing row, and
     the sign flips at every step.  At s = MAX_SINGULAR = 12 and k = 30 that
-    is 4096 calls and 0.30 to 0.57 s over three seeds, against 0.53 to
-    0.95 s when each call built all of H from kept class cells (Python
-    3.11.7, 2 CPUs, side by side, best of eight runs on a shared host).  A
+    is 4096 calls and 0.13 to 0.21 s over three seeds, against 0.20 to
+    0.34 s when each delta went through checked ZPolys (Python 3.11.7,
+    2 CPUs, side by side, best of eight runs on a shared host).  A
     diagram with more singular chords raises GaussCodeError before any is
     resolved.
     """

@@ -600,6 +600,32 @@ def test_a_child_of_a_stored_parent_reads_the_switched_chord_alone(monkeypatch, 
         sources.clear()
 
 
+def test_a_switch_delta_builds_no_checked_zpoly(monkeypatch):
+    """The delta of a switch goes from class cells to stored terms with no
+    ZPoly round trip: compute_H on a child whose parent has H stored, and
+    crossing_change_delta, never call ZPoly.__init__."""
+    inits = []
+    init = ZPoly.__init__
+
+    def counted(self, *args):
+        inits.append(args)
+        init(self, *args)
+
+    parent = crossing_change(random_diagram(30, 7), 1)
+    stored = {policy: compute_H(parent, policy) for policy in POLICIES}
+    monkeypatch.setattr(ZPoly, "__init__", counted)
+    got = {}
+    for policy in POLICIES:
+        for cid in (2, 5):
+            got[policy, cid] = (compute_H(crossing_change(parent, cid), policy),
+                                crossing_change_delta(parent, cid, policy))
+    assert inits == []
+    monkeypatch.undo()
+    for (policy, cid), (child_h, delta) in got.items():
+        assert not delta.is_zero() and delta == stored[policy] - child_h
+        assert child_h == fresh_H(crossing_change(parent, cid), policy)
+
+
 @pytest.mark.parametrize("k", [30, KERNEL + 6])
 def test_a_child_computes_in_full_when_its_parent_has_no_H_for_the_key(monkeypatch, k):
     """A parent with H stored under one key only, and one with no store at

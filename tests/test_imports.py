@@ -161,11 +161,13 @@ def test_a_second_reader_of_a_class_cell_source_fails_the_audit(source):
     assert sites != CELL_SOURCE_SITES and ("singular.py", "_planted") in sites
 
 
-ROW_READER_SITES = [("invariant.py", "_row_cells"), ("invariant.py", "index_polys")]
+ROW_READER_SITES = [("invariant.py", "_row_cells"), ("invariant.py", "_switch_delta"),
+                    ("invariant.py", "index_polys")]
 
 
-def test_only_row_cells_and_index_polys_read_a_chord_s_row_classes():
-    """_row_classes writes Ind_c^n's rule once; both per-chord readers go through it."""
+def test_only_the_per_chord_readers_read_a_chord_s_row_classes():
+    """_row_classes writes Ind_c^n's rule once; the row source, the switch
+    delta and index_polys go through it."""
     assert builder_sites(package_sources(), None, "_row_classes") == ROW_READER_SITES
 
 

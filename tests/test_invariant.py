@@ -2,6 +2,7 @@
 
 import json
 import re
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, strategies as st
@@ -20,6 +21,7 @@ from knotoidh.gordian import crossing_change_delta
 from knotoidh.invariant import (
     _KERNEL_MIN_CHORDS,
     Invariant,
+    _partner,
     TermKey,
     compute_H,
     crossing_partition,
@@ -227,8 +229,9 @@ def test_degree_is_undefined_exactly_where_a_singular_chord_crosses():
     for policy in (QUOT, LIT):
         with pytest.raises(GaussCodeError, match=msg):
             index_function(w, 1, 1, policy)
-        with pytest.raises(GaussCodeError, match=msg):  # chord 3 crosses chord 4
-            index_polys(w, 3, policy)
+        for read in (index_polys, crossing_change_delta):  # chord 3 crosses chord 4
+            with pytest.raises(GaussCodeError, match=msg):
+                read(w, 3, policy)
 
 
 def test_policy_mismatch_raises():
@@ -359,6 +362,76 @@ def test_unchecked_exponent_polynomials_are_canonical(k, policy):
             assert_canonical_polys(compute_H(d, policy, include_n0))
         for cid in range(1, k + 1, max(1, k // 6)):
             assert_canonical_polys(crossing_change_delta(d, cid, policy))
+
+
+def zpoly_partner(P, m, policy):
+    """partner(P) through checked ZPoly arithmetic: -P(z^-1), re-reduced mod m."""
+    return reduce_poly(-P.subst_z_inverse(), m, policy).terms
+
+
+def assert_partner_merges_nothing(terms, m, policy):
+    got = _partner(terms, m, policy)
+    assert got == zpoly_partner(ZPoly(terms), m, policy), (terms, m)
+    assert len({e for e, _ in got}) == len(got) == len(terms), (terms, m)
+
+
+@pytest.mark.parametrize("include_n0", [False, True])
+@pytest.mark.parametrize("policy", list(ReductionPolicy))
+def test_partner_on_terms_is_the_zpoly_partner_of_every_term_of_H(policy, include_n0):
+    """Every term of H, k = 1..70, through both sources; the draws include
+    degree-0 chords (m = 0) and, under Literal, exponents at +-m/2.  H keeps
+    no term with m = 1, whose P is constant; the hand-made cases cover it."""
+    moduli, ties = set(), 0
+    for k in range(1, 71):
+        for (n, m, P) in compute_H(random_diagram(k, k), policy, include_n0).exp_terms:
+            assert_partner_merges_nothing(P.terms, m, policy)
+            moduli.add(m if m or P.is_constant() else "degree 0")
+            ties += any(2 * e == -m < 0 for e, _ in P.terms)  # Literal alone keeps -m/2
+    assert {0, 2, "degree 0"} <= moduli and (ties > 0) == (policy is LIT)
+
+
+@pytest.mark.parametrize("terms, m, policy, want", [
+    (((-2, 1), (2, 3)), 4, LIT, ((-2, -3), (2, -1))),  # both ends of the tie at m/2
+    (((-1, 1), (0, 2), (1, 5)), 2, LIT, ((-1, -5), (0, -2), (1, -1))),
+    (((0, 1), (1, -2), (3, 4)), 4, QUOT, ((0, -1), (1, -4), (3, 2))),
+    (((-3, 1), (2, -1)), 0, QUOT, ((-2, 1), (3, -1))),  # m = 0: a degree-0 chord
+    (((-3, 1), (2, -1)), 0, LIT, ((-2, 1), (3, -1))),
+    (((0, 5),), 0, QUOT, ((0, -5),)),  # a constant P, stored with m = 0
+    (((0, 5),), 0, LIT, ((0, -5),)),
+    (((0, 2),), 1, QUOT, ((0, -2),)),  # m = 1: every exponent is 0
+    (((0, 2),), 1, LIT, ((0, -2),)),
+    ((), 3, QUOT, ()),
+])
+def test_partner_on_hand_made_terms(terms, m, policy, want):
+    assert _partner(terms, m, policy) == want
+    assert_partner_merges_nothing(terms, m, policy)
+
+
+def quotient_image(h):
+    """The Quotient invariant that a Literal invariant h reduces to: each
+    t^P y^n becomes t^Q y^n, Q = reduce_poly(P, m, QUOTIENT), keyed with
+    m = 0 when Q is constant; a zero Q makes t^0 = 1, a constant of y^n."""
+    exp, const = defaultdict(int), defaultdict(int, h.const_terms)
+    for (n, m, P), a in h.exp_terms.items():
+        Q = reduce_poly(P, m, QUOT)
+        if Q:
+            exp[TermKey(n, 0 if Q.is_constant() else m, Q)] += a
+        else:
+            const[n] += a
+    return Invariant(QUOT, exp, const)
+
+
+@given(st.integers(min_value=0, max_value=13), seeds, st.booleans())
+def test_quotient_H_is_the_image_of_literal_H(k, seed, include_n0):
+    d = random_diagram(k, seed)
+    assert compute_H(d, QUOT, include_n0) == quotient_image(compute_H(d, LIT, include_n0))
+
+
+@pytest.mark.parametrize("include_n0", [False, True])
+@pytest.mark.parametrize("k, seed", [(40, 0), (40, 1), (70, 0), (70, 1)])
+def test_quotient_H_is_the_image_of_literal_H_on_larger_diagrams(k, seed, include_n0):
+    d = random_diagram(k, seed)
+    assert compute_H(d, QUOT, include_n0) == quotient_image(compute_H(d, LIT, include_n0))
 
 
 @given(sizes, seeds, policies, st.booleans())
