@@ -14,6 +14,9 @@ a usage error (an unknown command or flag, a bad flag value, a missing
 `compute`, `compare` and `gordian` reach H through one function,
 `_each_H`: it parses a code, computes every H before anything is printed,
 and names the code or `.gko` entry that a `GaussCodeError` came from.
+`gordian` prints the one report that `gordian._report` builds, whole as
+JSON or as its text line; `compare` prints its identity verdict, `holds`
+or `violated`, with one print.
 
 Each choice and bound is declared once and read by the parser: `--mode`
 from `ReductionPolicy`, `--format` from `render`'s format table, `--check`
@@ -36,8 +39,7 @@ from functools import cache, partial
 from .gauss import (GaussCodeError, _seeded, bundled_diagrams, crossing_change,
                     load_gko, mirror, parse_gauss_code, random_diagram,
                     random_nested_diagram, reverse, serialize)
-from .gordian import (NotHomotopyForm, crossing_change_delta, decompose,
-                      decomposition_json, gordian_lower_bound)
+from .gordian import NotHomotopyForm, _report, crossing_change_delta, gordian_lower_bound
 from .invariant import (_FORMATS, Invariant, compute_H, render, subst_t_inverse,
                         subst_z_inverse)
 from . import moves
@@ -94,29 +96,21 @@ def _cmd_compare(args) -> int:
     print("equal" if ha == hb else "distinct")
     if args.check == "none":
         return 0
-    if hb == symmetry_image(ha, args.check):
-        print("%s identity holds" % args.check)
-        return 0
-    print("%s identity violated" % args.check)
-    return 1
+    holds = hb == symmetry_image(ha, args.check)
+    print("%s identity %s" % (args.check, "holds" if holds else "violated"))
+    return 0 if holds else 1
 
 
 def _cmd_gordian(args) -> int:
     ha, hb = _each_H([("code_a", args.code_a), ("code_b", args.code_b)], args.mode)
-    try:
-        dec = decompose(ha - hb)
-    except NotHomotopyForm as exc:
-        if args.json:
-            print(json.dumps({"bound": None, "per_n": {}, "pairs": [],
-                              "status": "not_homotopy_form", "reason": str(exc)}))
-        else:
-            print("not_homotopy_form")
-            print("reason: %s" % exc, file=sys.stderr)
-        return 0
+    report = _report(ha - hb)
     if args.json:
-        print(json.dumps(decomposition_json(dec)))
+        print(json.dumps(report))
+    elif report["bound"] is None:
+        print(report["status"])
+        print("reason: %s" % report["reason"], file=sys.stderr)
     else:
-        print("bound: %d" % dec.bound)
+        print("bound: %d" % report["bound"])
     return 0
 
 

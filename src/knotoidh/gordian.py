@@ -19,6 +19,10 @@ order render prints it in: strata ascending in n, terms by (m, P).  Each
 stratum gets one ledger of its unpaired terms; a term leaves it when it
 is paired, either as the term or as its partner, and the stratum's
 constant is checked once its terms are paired, before the next stratum.
+_report writes the `gordian` command's one report of a difference:
+decomposition_json's keys when decompose pairs it, and the same keys
+with a null bound, status not_homotopy_form and a trailing reason when
+it cannot.
 """
 
 from __future__ import annotations
@@ -129,3 +133,14 @@ def decomposition_json(dec: GordianDecomposition) -> dict:
                   for p in dec.pairs],
         "status": "ok",
     }
+
+
+def _report(delta: Invariant) -> dict:
+    """The `gordian` command's report on delta: decomposition_json of its
+    decomposition, or, when decompose raises NotHomotopyForm, the same keys
+    with no bound or pairs, status "not_homotopy_form" and a trailing reason."""
+    try:
+        return decomposition_json(decompose(delta))
+    except NotHomotopyForm as exc:
+        return {"bound": None, "per_n": {}, "pairs": [], "status": "not_homotopy_form",
+                "reason": str(exc)}

@@ -1,11 +1,14 @@
 """Reidemeister moves on Gauss diagrams and seeded random walks.
 
-The generators are the oriented moves that suffice for invariance checks:
-one R1 kink insert/delete per direction and sign, the R2 poke whose two
-new chords are parallel with opposite signs, and the two R3 patterns on
-three pairwise-crossing chords (variants `3a` and `3a_prime`).  Every
-apply returns a new diagram; every applied move is describable as a
-JSON-able MoveSpec so walks can be traced and replayed.
+The table's oriented moves, as Gauss-diagram patterns, are all 4 R1 kinks
+(insert/delete per direction and sign), 1 of the 4 R2 pokes (over strand
+first, its two new chords parallel with opposite signs) and 2 of the 48
+oriented R3 patterns on three pairwise-crossing chords (variants `3a` and
+`3a_prime`).  Polyak's minimal generating sets of Reidemeister moves are
+a theorem about planar moves; nothing here shows that these Gauss
+patterns generate the other R2 and R3 patterns.  Every apply returns a
+new diagram; every applied move is describable as a JSON-able MoveSpec
+so walks can be traced and replayed.
 
 Each kind is written once, in `_MOVES`: its param schema (checked when a
 MoveSpec is built and on direct calls), apply, inverse and site

@@ -8,7 +8,11 @@ canonical representative for every exponent:
   homomorphism Z[z,z^-1] -> Z[z]/(z^m - 1), so move invariance is exact.
 * LITERAL: representative of least absolute value, ties at m/2 broken
   toward the sign of the input.  This reproduces hand-reduced expressions
-  (z^-1 stays z^-1) but is not a class function on residues.
+  (z^-1 stays z^-1) but is not a class function on residues.  For odd m
+  the residue of least absolute value is unique, so there Literal
+  reduction is a relabelling of Quotient's and keeps its invariance.  For
+  even m the tie at m/2 keeps the input's sign, so z^(m/2) and z^(-m/2),
+  one residue, stay apart: that is why Literal H is not move invariant.
 
 m = 0 means no reduction at all.
 """

@@ -3,9 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotoidh.gauss import GaussCodeError, bundled_diagrams, crossing_change, random_diagram
+from knotoidh.gauss import (GaussCodeError, bundled_diagrams, crossing_change, parse_gauss_code,
+                            random_diagram)
 from knotoidh.gordian import (
     NotHomotopyForm,
+    _report,
     crossing_change_delta,
     decompose,
     decomposition_json,
@@ -50,6 +52,24 @@ def test_decomposition_json_shape():
     assert obj["bound"] == 2
     assert obj["per_n"] == {"1": 2, "2": 1}
     assert {p["n"] for p in obj["pairs"]} == {1, 2}
+
+
+def difference_from_trivial(code):
+    return compute_H(parse_gauss_code(code)) - compute_H(parse_gauss_code(""))
+
+
+def test_report_on_a_pairing_is_the_decomposition_json():
+    delta = difference_from_trivial("O1+ U2+ U3- O4- O5+ U4- O2+ U1+ O3- U5+")
+    report = _report(delta)
+    assert report == decomposition_json(decompose(delta))
+    assert list(report) == ["bound", "per_n", "pairs", "status"]
+
+
+def test_report_without_a_pairing_keeps_the_keys_and_adds_a_reason():
+    report = _report(difference_from_trivial("O1+ O3+ U1+ O2- U3+ U2-"))
+    assert list(report) == ["bound", "per_n", "pairs", "status", "reason"]
+    assert report == {"bound": None, "per_n": {}, "pairs": [], "status": "not_homotopy_form",
+                      "reason": "partner coefficients differ at y^1: 1 vs -1"}
 
 
 @given(sizes, seeds, policies)

@@ -179,6 +179,22 @@ def test_a_second_reader_of_the_row_classes_fails_the_audit():
     assert sites != ROW_READER_SITES and ("gordian.py", "_planted") in sites
 
 
+REPORT_SITES = [("gordian.py", "_report")]
+
+
+def test_only_report_reads_the_decomposition_json():
+    """gordian._report writes the gordian command's one report, in both outcomes."""
+    assert builder_sites(package_sources(), None, "decomposition_json") == REPORT_SITES
+
+
+def test_a_second_reader_of_the_decomposition_json_fails_the_audit():
+    sources = package_sources()
+    sources["cli.py"] += ("\n\nfrom .gordian import decomposition_json\n\n\n"
+                          "def _planted(dec):\n    return decomposition_json(dec)\n")
+    sites = builder_sites(sources, None, "decomposition_json")
+    assert sites != REPORT_SITES and ("cli.py", "_planted") in sites
+
+
 SWITCHING_SITES = {("gauss.py", "crossing_change"), ("gauss.py", "mirror")}
 
 

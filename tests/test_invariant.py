@@ -434,6 +434,38 @@ def test_quotient_H_is_the_image_of_literal_H_on_larger_diagrams(k, seed, includ
     assert compute_H(d, QUOT, include_n0) == quotient_image(compute_H(d, LIT, include_n0))
 
 
+def test_literal_keeps_criterion_03_s_pair_apart_only_at_the_tie_m_2():
+    """The Literal difference of 5.1.28 and its reverse lies wholly at m = 2,
+    where z and z^-1 (z^(m/2) and z^(-m/2)) are one residue but keep their signs."""
+    d = FIXTURES["5.1.28"]
+    diff = compute_H(d, LIT) - compute_H(reverse(d), LIT)
+    assert render(diff) == "(-t^(-z^-1) + t^(z^-1) + t^(-z) - t^z)*y"
+    assert {m for _, m, _ in diff.exp_terms} == {2} and diff.const_terms == {}
+
+
+def check_literal_relabels_quotient_at_odd_m(d, include_n0) -> dict:
+    """Check that Literal's odd-m terms (n, m, P, c) map one to one, by
+    P -> reduce_poly(P, m, QUOTIENT), onto exactly Quotient's odd-m terms,
+    as the unique residue of least absolute value at odd m makes them;
+    return Quotient's odd-m terms."""
+    quot = {key: c for key, c in compute_H(d, QUOT, include_n0).exp_terms.items() if key.m % 2}
+    image = [(TermKey(n, m, reduce_poly(P, m, QUOT)), c)
+             for (n, m, P), c in compute_H(d, LIT, include_n0).exp_terms.items() if m % 2]
+    assert len(dict(image)) == len(image) and dict(image) == quot
+    return quot
+
+
+@given(st.integers(min_value=0, max_value=13), seeds, st.booleans())
+def test_literal_relabels_quotient_at_odd_m(k, seed, include_n0):
+    check_literal_relabels_quotient_at_odd_m(random_diagram(k, seed), include_n0)
+
+
+@pytest.mark.parametrize("include_n0", [False, True])
+def test_literal_relabels_quotient_at_odd_m_on_larger_diagrams(include_n0):
+    for seed in range(10):
+        assert check_literal_relabels_quotient_at_odd_m(random_diagram(70, seed), include_n0)
+
+
 @given(sizes, seeds, policies, st.booleans())
 def test_json_round_trip(k, seed, policy, include_n0):
     h = compute_H(random_diagram(k, seed), policy, include_n0)
