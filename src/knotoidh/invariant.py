@@ -48,7 +48,10 @@ given is already canonical, a run of sorted class cells, the terms of a
 checked ZPoly, or the partner of either (_partner).  The class and reduced
 exponent of a crossing depend only on |d(c)|, its signed degree and the
 policy, so they are found once per process and kept, one plan per
-(|d(c)|, policy), for every later call (_plan).
+(|d(c)|, policy), for every later call (_plan); _partner reads each
+partner exponent from the same plans.  from_summands and signed_sum check
+the policy once and build their result unchecked (Invariant._built), since
+every dict they make holds nonzero values only.
 
 A diagram that gauss.crossing_change made carries a store of H values,
 keyed by (policy, include_n0), and a link to the store of the diagram it
@@ -125,6 +128,14 @@ class Invariant:
         self.const_terms = {n: v for n, v in (const_terms or {}).items() if v}
 
     @classmethod
+    def _built(cls, policy, exp_terms: dict, const_terms: dict) -> "Invariant":
+        """An Invariant on dicts already as stored, under a policy already checked:
+        no zero value in either dict.  Nothing is checked or copied."""
+        h = object.__new__(cls)
+        h.policy, h.exp_terms, h.const_terms = policy, exp_terms, const_terms
+        return h
+
+    @classmethod
     def from_summands(cls, policy, items):
         """Sum of s (t^P - 1) y^n over items (n, m, P, s), P reduced mod m.
 
@@ -132,7 +143,8 @@ class Invariant:
         coefficient) pairs sorted by exponent, distinct exponents, no zero
         coefficient; this is not checked.  The signs are summed per (n, m, P)
         first, so each nonzero stored term is one TermKey with its own ZPoly.
-        A zero P adds nothing, since t^0 - 1 = 0.
+        A zero P adds nothing, since t^0 - 1 = 0.  Only the constants can sum
+        to 0, so only they are filtered.
         """
         sums = {}
         for n, m, P, s in items:
@@ -144,7 +156,8 @@ class Invariant:
             const[n] = const.get(n, 0) - s
             if s:
                 exp[TermKey(n, m, ZPoly._built(P))] = s
-        return cls(policy, exp, const)
+        _require_policy(policy)
+        return Invariant._built(policy, exp, {n: c for n, c in const.items() if c})
 
     @classmethod
     def signed_sum(cls, policy, items):
@@ -154,7 +167,8 @@ class Invariant:
         none of its keys again; every later h adds its terms key by key, and
         a key is dropped where its sum comes to 0.
         """
-        total = cls(policy)
+        _require_policy(policy)
+        total = Invariant._built(policy, {}, {})
         for i, (s, h) in enumerate(items):
             _check_policy(policy, h)
             for terms, add in ((total.exp_terms, h.exp_terms), (total.const_terms, h.const_terms)):
@@ -237,7 +251,8 @@ class _Plan(dict):
 
 
 # The plans kept across calls, the least recently used dropped first.  A plan
-# of modulus m holds one cell per degree D asked of it, |D| < k, so for
+# of modulus m holds one cell per degree D asked of it, |D| < k; _partner
+# asks it for -e, e an exponent of H, which is again such a D.  So for
 # diagrams of at most k chords the cache holds at most _PLAN_CACHE_SIZE *
 # (2k - 1) cells.  Fourteen compute_H calls on seven random_diagram(1000, .)
 # under alternating policies left 116 plans and 13.3k cells, 1.4 MB by
@@ -351,9 +366,12 @@ def _partner(terms: tuple, m: int, policy) -> tuple:
     P must already be reduced mod m under the policy.  Then negation maps
     the reduced exponents one to one onto themselves (Quotient's 0..m-1,
     Literal's range with both ends of a tie at +-m/2, and every exponent
-    when m = 0), so no two terms merge and the result is canonical.
+    when m = 0), so no two terms merge and the result is canonical.  Each
+    reduced -e is read from the plan of (m, policy), _plan(m, policy)[-e],
+    so a partner whose exponents the plan has seen reduces nothing again.
     """
-    return tuple(sorted((reduce_exponent(-e, m, policy), -c) for e, c in terms))
+    plan = _plan(m, policy)
+    return tuple(sorted((plan[-e][1], -c) for e, c in terms))
 
 
 def _pair_sum(policy, pairs) -> Invariant:
@@ -508,9 +526,9 @@ def compute_H(d: GaussDiagram,
     _require_policy(policy)
     if type(include_n0) is not bool:
         raise TypeError("include_n0 must be a bool, not %s" % type(include_n0).__name__)
-    if d.singular_ids():
-        raise GaussCodeError("diagram has singular chords; resolve them first")
     table, key = d._table, (policy, include_n0)
+    if SINGULAR in table.sign:
+        raise GaussCodeError("diagram has singular chords; resolve them first")
     parent, c = d._H_link or (None, 0)
     if key in (parent or {}):
         h = parent[key] + _switch_delta(table, c, policy, include_n0)

@@ -1,10 +1,10 @@
 """Every imported name in the package and its tests is used, every private
 top-level name of the package is read, each builder that trusts its input
-(the unchecked ZPoly constructor, the diagram built with its chord table,
-json.loads), each source of class cells and the one reader of a chord's
-crossing row are called from their own places, events are switched only by
-mirror and crossing_change, and the brute-force oracle imports nothing but
-the standard library."""
+(the unchecked ZPoly and Invariant constructors, the diagram built with
+its chord table, json.loads), each source of class cells and the one
+reader of a chord's crossing row are called from their own places, events
+are switched only by mirror and crossing_change, and the brute-force
+oracle imports nothing but the standard library."""
 
 import ast
 import importlib
@@ -119,6 +119,24 @@ def test_unchecked_zpolys_are_built_only_by_from_summands():
     """Only from_summands may trust its terms: every other ZPoly goes through ZPoly(...)."""
     assert builder_sites(package_sources(), "ZPoly", "_built") == [
         ("invariant.py", "Invariant.from_summands")]
+
+
+TRUSTED_INVARIANT_SITES = [("invariant.py", "Invariant.from_summands"),
+                           ("invariant.py", "Invariant.signed_sum")]
+
+
+def test_unchecked_invariants_are_built_only_by_the_two_sums():
+    """Only from_summands and signed_sum build an Invariant on dicts they made
+    themselves; every other Invariant goes through Invariant(...)."""
+    assert builder_sites(package_sources(), "Invariant", "_built") == TRUSTED_INVARIANT_SITES
+
+
+def test_a_second_caller_of_the_trusted_invariant_builder_fails_the_audit():
+    sources = package_sources()
+    sources["gordian.py"] += ("\n\ndef _planted(policy):\n"
+                              "    return Invariant._built(policy, {}, {})\n")
+    sites = builder_sites(sources, "Invariant", "_built")
+    assert sites != TRUSTED_INVARIANT_SITES and ("gordian.py", "_planted") in sites
 
 
 def test_json_is_read_only_through_its_gate():

@@ -255,8 +255,11 @@ def test_policy_mismatch_raises():
     lambda p: reduce_exponent(5, 3, p),
     lambda p: reduce_poly(ZPoly([(5, 1)]), 3, p),
     lambda p: Invariant(p),
+    lambda p: Invariant.from_summands(p, ()),
+    lambda p: Invariant.signed_sum(p, ()),
 ], ids=["compute_H", "compute_H_trivial", "index_polys", "index_polys_degree_0",
-        "crossing_change_delta", "singular_H", "reduce_exponent", "reduce_poly", "Invariant"])
+        "crossing_change_delta", "singular_H", "reduce_exponent", "reduce_poly", "Invariant",
+        "from_summands", "signed_sum"])
 def test_policy_that_is_not_a_reduction_policy_raises(call, policy):
     with pytest.raises(TypeError, match=r"^policy must be a ReductionPolicy, not %s$"
                        % re.escape(repr(policy))):
@@ -405,6 +408,32 @@ def test_partner_on_terms_is_the_zpoly_partner_of_every_term_of_H(policy, includ
 def test_partner_on_hand_made_terms(terms, m, policy, want):
     assert _partner(terms, m, policy) == want
     assert_partner_merges_nothing(terms, m, policy)
+
+
+def reduced_exponents(m, policy) -> list:
+    """Every exponent reduced mod m under the policy, both ends of a Literal
+    tie at +-m/2 included; at m = 0, where nothing is reduced, -12..12."""
+    if m == 0:
+        return list(range(-12, 13))
+    if policy is QUOT:
+        return list(range(m))
+    return list(range(-(m // 2), m // 2 + 1))
+
+
+@pytest.mark.parametrize("policy", list(ReductionPolicy))
+def test_partner_reads_what_reduce_exponent_gives(policy):
+    """_partner reads each exponent from the plan; it must equal the
+    exponent reduce_exponent gives, for every reduced exponent, one term at a
+    time and all at once, and for a constant P at m = 0."""
+    for m in range(13):
+        exponents = reduced_exponents(m, policy)
+        cases = [((e, 2 * e + 1),) for e in exponents] + [((0, -3),)]
+        cases.append(tuple((e, 2 * e + 1) for e in exponents))
+        for terms in cases:
+            want = tuple(sorted((reduce_exponent(-e, m, policy), -c) for e, c in terms))
+            assert _partner(terms, m, policy) == want, (terms, m)
+        if policy is LIT and m and m % 2 == 0:  # both ends of the tie are covered
+            assert {-m // 2, m // 2} <= set(exponents)
 
 
 def quotient_image(h):

@@ -1,5 +1,6 @@
 """Skein resolutions and the order-one vanishing property."""
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -15,6 +16,7 @@ from knotoidh.gauss import (
 )
 from knotoidh.invariant import Invariant, TermKey, compute_H, degree, render
 from knotoidh import singular
+from knotoidh.moves import r1_insert
 from knotoidh.singular import (
     MAX_SINGULAR,
     make_singular,
@@ -47,6 +49,33 @@ def test_make_singular_takes_an_iterable_of_ids(ids):
     with pytest.raises(GaussCodeError) as exc:
         make_singular(random_diagram(4, 1), ids)
     assert str(exc.value) == "ids must be iterable, not %r" % (ids,)
+
+
+def assert_gate_matches_singular_ids(d):
+    """compute_H refuses d exactly when singular_ids() names a chord."""
+    if d.singular_ids():
+        with pytest.raises(GaussCodeError,
+                           match="^diagram has singular chords; resolve them first$"):
+            compute_H(d)
+    else:
+        compute_H(d)
+
+
+def test_compute_H_refuses_exactly_the_diagrams_with_singular_ids():
+    rng = random.Random(0)
+    assert_gate_matches_singular_ids(parse_gauss_code(""))
+    assert_gate_matches_singular_ids(parse_gauss_code("O1* U1*"))
+    for k in range(1, 13):
+        for seed in range(4):
+            d = random_diagram(k, seed)
+            for ids in ([], rng.sample(range(1, k + 1), rng.randint(1, k))):
+                assert_gate_matches_singular_ids(make_singular(d, ids))
+            # a singular kink crosses nothing, so every degree stays defined
+            # and only the sign column shows it
+            kink = make_singular(r1_insert(d, rng.randint(0, 2 * k)), [k + 1])
+            for c in range(1, k + 2):
+                degree(kink, c)  # raises where a degree is undefined
+            assert_gate_matches_singular_ids(kink)
 
 
 def test_resolutions_of_a_singular_chord():
