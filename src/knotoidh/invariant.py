@@ -65,8 +65,7 @@ diagram has no store, and compute_H reads all its cells.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
+import struct
 from collections import defaultdict, namedtuple
 from functools import lru_cache, partial
 from itertools import compress
@@ -106,7 +105,7 @@ TermKey = namedtuple("TermKey", ["n", "m", "P"])
 # source on each diagram, and 70 cost 0.8% to 1.3% more.
 _KERNEL_MIN_CHORDS = 64
 
-# Bytes of a signed bitset field -> its array typecode; see _histogram_cells.
+# Bytes of a signed bitset field -> its struct format character; see _histogram_cells.
 _FIELD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
@@ -428,8 +427,10 @@ def _histogram_cells(table, policy):
     for every chord of one |d(c)|.  So the fields of each |d(c)| lie side by
     side, and one add per (|d(c)|, signed degree) sums that slice of the
     packed cells into a packed column per class before anything is
-    unpacked.  The classes of a group are sorted once, so every chord's
-    nonzero cells come out in (n, phi) order.
+    unpacked.  Each class column is written and read little-endian, whatever
+    the host, and one struct.unpack reads it whole, zeros included; compress
+    hands on each chord's nonzero cells.  The classes of a group are sorted
+    once, so every chord's cells come out in (n, phi) order.
     """
     over, under, sign, deg, at, mate = table
     k = len(sign) - 1
@@ -494,13 +495,9 @@ def _histogram_cells(table, policy):
             sums[key] = (sums.get(key, class_bias)
                          + int.from_bytes(column[start:stop], "little") - cell_bias)
         start = stop
-        keys, rows = sorted(sums), []
-        for key in keys:
-            counts = array(_FIELD_CODES[width])
-            counts.frombytes((sums[key] ^ class_bias).to_bytes(len(group) * width, "little"))
-            if sys.byteorder == "big":
-                counts.byteswap()
-            rows.append(counts)
+        keys, fmt = sorted(sums), "<%d%s" % (len(group), _FIELD_CODES[width])
+        rows = [struct.unpack(fmt, (sums[key] ^ class_bias).to_bytes(len(group) * width, "little"))
+                for key in keys]
         for c, row in zip(group, zip(*rows)):
             yield c, compress(zip(keys, row), row)
 

@@ -65,11 +65,9 @@ def singular_H(d: GaussDiagram,
     values of the resolution before, so each compute_H after the second is
     that H plus the switched chord's delta, read from one crossing row, and
     the sign flips at every step.  At s = MAX_SINGULAR = 12 and k = 30 that
-    is 4096 calls and 0.11 to 0.17 s over three seeds, against 0.12 to
-    0.19 s when each sum still rebuilt its result through the checked
-    Invariant(...) (Python 3.11.7, 2 CPUs, side by side, best of eight
-    runs on a shared host).  A diagram with more singular chords raises
-    GaussCodeError before any is resolved.
+    is 4096 calls and 0.11 to 0.18 s over three seeds (Python 3.11.7,
+    2 CPUs, best of eight runs on a shared host).  A diagram with more
+    singular chords raises GaussCodeError before any is resolved.
     """
     ids = d.singular_ids()
     if len(ids) > MAX_SINGULAR:

@@ -11,7 +11,9 @@ _KERNEL_MIN_CHORDS chords and from per-degree counts summed into (n, phi)
 class counts from there on, and one tail turns them into H; the tests
 below also compare the two sources' class cells on the same diagrams and
 feed both through that tail, with a diagram for each rule by which degree
-counts merge into class counts, and pin H for criterion 10's diagram.
+counts merge into class counts, check that the kernel reads its class
+counts the same under either host byte order, and pin H for criterion
+10's diagram.
 
 A diagram that crossing_change made stores the H values compute_H gives
 it, and links to the store of the diagram it was switched from, so that its
@@ -29,6 +31,7 @@ import math
 import operator
 import random
 import re
+import sys
 import weakref
 from collections import Counter
 from unittest import mock
@@ -251,6 +254,19 @@ def test_the_kernel_widens_a_field_that_must_hold_128():
         for policy in POLICIES:
             rows, histogram = both_sources(d, policy)
             assert rows == histogram, (seed, policy)
+
+
+def test_the_kernel_reads_its_class_columns_whatever_the_host_byte_order(monkeypatch):
+    """The class columns are packed little-endian, so the host's byte order
+    must not change how they are read.  At k = 200 each class field takes
+    two bytes, which a stray byte swap would scramble."""
+    monkeypatch.setattr(sys, "byteorder", "big" if sys.byteorder == "little" else "little")
+    for seed in (0, 1, 2):
+        d = random_diagram(200, seed)
+        assert takes_kernel(d)
+        for policy in POLICIES:
+            assert (render(compute_H(d, policy), "json")
+                    == oracle.compute_H(serialize(d), policy.value)), (seed, policy)
 
 
 def merge_rules(d):

@@ -2,7 +2,11 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -151,6 +155,20 @@ def test_compare_mirror_check_detects_violation(capsys):
     rc, out, _ = run(capsys, "compare", CODE, CODE, "--check", "mirror")
     assert rc == 1
     assert out.splitlines() == ["equal", "mirror identity violated"]
+
+
+@pytest.mark.parametrize("argv, status, stdout, stderr", [
+    (("compute", "--code", CODE), 0, H_QUOT + "\n", ""),
+    (("compare", CODE, CODE, "--check", "mirror"), 1, "equal\nmirror identity violated\n", ""),
+    (("compute", "--code", "O1+ U2+"), 2, "", "error: chord 1 is missing its U token\n"),
+])
+def test_the_module_runs_as_a_script(argv, status, stdout, stderr):
+    """`python -m knotoidh.cli` in a fresh interpreter exits with main's status."""
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    run = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "knotoidh.cli", *argv],
+                         env=env, capture_output=True, encoding="utf-8", timeout=60)
+    assert (run.returncode, run.stdout, run.stderr) == (status, stdout, stderr)
 
 
 @pytest.mark.parametrize("mode", ["quotient", "literal"])
